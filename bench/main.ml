@@ -253,15 +253,12 @@ let perf sizes ~quick jobs =
   let n_pes = sizes.abl_pes in
   header
     (Printf.sprintf
-       "Engine throughput (host wall-clock; n=%d, iters=%d, %d PEs; \
-        engine=plan is the compiled-plan Interp, engine=ref the reference \
-        tree-walker)"
+       "Engine throughput (host wall-clock; n=%d, iters=%d, %d PEs, CLU on \
+        cxl-4x16; engine=plan is the compiled-plan Interp, engine=ref the \
+        reference tree-walker)"
        n iters n_pes);
   let ws = Suite.spec_four ~n ~iters () in
-  let modes =
-    Ccdp_runtime.Memsys.
-      [ Seq; Base; Ccdp; Invalidate; Incoherent; Hscd; Msi; Mesi; Directory ]
-  in
+  let modes = Ccdp_runtime.Memsys.all_modes in
   let time_run f =
     ignore (f ()) (* warm up: first run pays lowering/page-in noise *);
     let m0 = Gc.minor_words () in
@@ -300,13 +297,20 @@ let perf sizes ~quick jobs =
         (fun (w : Workload.t) ->
           let cfg = Ccdp_machine.Config.t3d ~n_pes in
           let cfg1 = Ccdp_machine.Config.t3d ~n_pes:1 in
+          (* CLU runs on coherence islands, compiled for them *)
+          let cxl = Ccdp_machine.Config.cxl_4x16 ~n_pes in
           let inlined = Ccdp_ir.Program.inline w.Workload.program in
           let empty = Ccdp_analysis.Annot.empty () in
           let compiled = Pipeline.compile cfg w.Workload.program in
+          let clustered =
+            Pipeline.compile cxl ~cluster_coherent:true w.Workload.program
+          in
           let setup mode =
             match mode with
             | Ccdp_runtime.Memsys.Ccdp ->
                 (cfg, compiled.Pipeline.program, compiled.Pipeline.plan)
+            | Ccdp_runtime.Memsys.Clustered ->
+                (cxl, clustered.Pipeline.program, clustered.Pipeline.plan)
             | Ccdp_runtime.Memsys.Seq -> (cfg1, inlined, empty)
             | _ -> (cfg, inlined, empty)
           in

@@ -197,7 +197,7 @@ let validate t =
   check (t.hop >= 0) "hop must be >= 0";
   check (t.link_occ >= 0) "link_occ must be >= 0";
   check (t.bus_occ >= 0) "bus_occ must be >= 0";
-  check (t.annex_entries >= 0) "annex_entries must be >= 0";
+  check (t.annex_entries > 0) "annex_entries must be positive";
   check (t.store_local >= 0) "store_local must be >= 0";
   check (t.store_remote >= 0) "store_remote must be >= 0";
   check (t.pf_issue >= 0) "pf_issue must be >= 0";

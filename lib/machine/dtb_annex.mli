@@ -16,4 +16,6 @@ val create : entries:int -> t
 val touch : t -> int -> bool
 
 val clear : t -> unit
+
+(** Resident PE numbers, most recently touched first. *)
 val resident : t -> int list

@@ -19,8 +19,9 @@ val occupancy : t -> int
     counts a drop). Re-issuing a pending line is a no-op returning [true]. *)
 val try_insert : t -> line:int -> words:int -> ready:int -> bool
 
-(** Pending arrival time of a line. *)
-val find : t -> line:int -> int option
+(** Pending arrival time of a line, or [-1] when the line is not pending
+    (arrival cycles are non-negative). *)
+val ready_of : t -> line:int -> int
 
 (** Remove a consumed line. *)
 val remove : t -> line:int -> unit
@@ -28,4 +29,5 @@ val remove : t -> line:int -> unit
 (** Drop every pending entry, returning how many were discarded. *)
 val clear : t -> int
 
+(** Pending entries, oldest first. *)
 val entries : t -> entry list

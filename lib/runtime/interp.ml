@@ -59,6 +59,9 @@ type scratch = {
   s_widx : int array array;
   s_memos : memo array;
   s_sp_lines : int array array;  (** per loop uid: last line issued per sp *)
+  mutable s_vaddrs : int array;
+      (** the word addresses of the vector get being gathered; grows on
+          demand and is reused by every later get *)
 }
 
 (* The closure family built over one scratch: the recursive evaluator
@@ -115,6 +118,7 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) ?pool
       s_memos = Array.map memo_make xp.Xplan.memo_caps;
       s_sp_lines =
         Array.map (fun k -> Array.make (max 1 k) min_int) xp.Xplan.sp_counts;
+      s_vaddrs = Array.make 8 0;
     }
   in
   let epochs_executed = ref 0 in
@@ -227,89 +231,103 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) ?pool
       end
     end
   in
+  (* append the addresses of one iteration's vector members, resolved
+     through the group's access, at position [k]; returns the new count *)
+  let gather pe acc (members : Xplan.xref array) (k : int) =
+    let need = k + Array.length members in
+    if need > Array.length sc.s_vaddrs then begin
+      let nb = Array.make (max need (2 * Array.length sc.s_vaddrs)) 0 in
+      Array.blit sc.s_vaddrs 0 nb 0 k;
+      sc.s_vaddrs <- nb
+    end;
+    let buf = sc.s_vaddrs in
+    for j = 0 to Array.length members - 1 do
+      let idx = eval_subs ridx pe members.(j) in
+      buf.(k + j) <- Memsys.access_addr sys acc ~pe ~idx
+    done;
+    need
+  in
   (* issue the vector prefetches attached to a loop, for the given range *)
   let vector_issue pe (l : Xplan.loop) ~first ~last ~step =
-    Array.iter
-      (fun (vec : Xplan.vec) ->
-        let var = l.Xplan.l_var in
-        let sv = iframe.(pe).(var) and sb = ibound.(pe).(var) in
-        let idxs = ref [] in
-        let collect () =
-          Array.iter
-            (fun m -> idxs := Array.copy (eval_subs ridx pe m) :: !idxs)
-            vec.Xplan.v_members
-        in
-        let sweep_inner () =
-          match vec.Xplan.v_inner with
-          | None -> collect ()
-          | Some il ->
-              let ifirst = eval_bound pe il.Xplan.l_lo in
-              let ilast = eval_bound pe il.Xplan.l_hi in
-              let ivar = il.Xplan.l_var in
-              let isv = iframe.(pe).(ivar) and isb = ibound.(pe).(ivar) in
-              let w = ref ifirst in
-              let cont () =
-                if il.Xplan.l_step > 0 then !w <= ilast else !w >= ilast
-              in
-              while cont () do
-                iframe.(pe).(ivar) <- !w;
-                ibound.(pe).(ivar) <- true;
-                collect ();
-                w := !w + il.Xplan.l_step
-              done;
-              iframe.(pe).(ivar) <- isv;
-              ibound.(pe).(ivar) <- isb
-        in
-        let v = ref first in
-        let continue () = if step > 0 then !v <= last else !v >= last in
-        while continue () do
-          iframe.(pe).(var) <- !v;
-          ibound.(pe).(var) <- true;
-          sweep_inner ();
-          v := !v + step
-        done;
-        iframe.(pe).(var) <- sv;
-        ibound.(pe).(var) <- sb;
-        Memsys.vget_issue_c ~skip_cached:vec.Xplan.v_clean sys ~pe
-          raccs.(vec.Xplan.v_members.(0).Xplan.xacc)
-          (List.rev !idxs))
-      l.Xplan.l_vecs
+    let vecs = l.Xplan.l_vecs in
+    let fr = iframe.(pe) and bd = ibound.(pe) in
+    let var = l.Xplan.l_var in
+    for vi = 0 to Array.length vecs - 1 do
+      let vec = vecs.(vi) in
+      let members = vec.Xplan.v_members in
+      let acc = raccs.(members.(0).Xplan.xacc) in
+      let sv = fr.(var) and sb = bd.(var) in
+      let n = ref 0 in
+      let v = ref first in
+      while if step > 0 then !v <= last else !v >= last do
+        fr.(var) <- !v;
+        bd.(var) <- true;
+        (match vec.Xplan.v_inner with
+        | None -> n := gather pe acc members !n
+        | Some il ->
+            let ifirst = eval_bound pe il.Xplan.l_lo in
+            let ilast = eval_bound pe il.Xplan.l_hi in
+            let istep = il.Xplan.l_step in
+            let ivar = il.Xplan.l_var in
+            let isv = fr.(ivar) and isb = bd.(ivar) in
+            let w = ref ifirst in
+            while if istep > 0 then !w <= ilast else !w >= ilast do
+              fr.(ivar) <- !w;
+              bd.(ivar) <- true;
+              n := gather pe acc members !n;
+              w := !w + istep
+            done;
+            fr.(ivar) <- isv;
+            bd.(ivar) <- isb);
+        v := !v + step
+      done;
+      fr.(var) <- sv;
+      bd.(var) <- sb;
+      Memsys.vget_issue_c ~skip_cached:vec.Xplan.v_clean sys ~pe acc
+        ~addrs:sc.s_vaddrs ~n:!n
+    done
   in
-  (* execute the iterations [first..last..step] of loop [l] on [pe] *)
+  (* execute the iterations [first..last..step] of loop [l] on [pe]; plain
+     loops throughout, since a closure or partial application here would
+     be allocated once per iteration *)
   let rec exec_range pe (l : Xplan.loop) ~first ~last ~step =
     vector_issue pe l ~first ~last ~step;
     let sps = l.Xplan.l_sps in
     let lines = sp_lines.(l.Xplan.l_uid) in
     Array.fill lines 0 (Array.length lines) min_int;
     (* software-pipelining prologue: prefetch the first d iterations *)
-    Array.iteri
-      (fun k (sp : Xplan.sp) ->
-        for j = 0 to sp.Xplan.sp_dist - 1 do
-          sp_issue pe l sp k (first + (j * step)) last
-        done)
-      sps;
+    for k = 0 to Array.length sps - 1 do
+      let sp = sps.(k) in
+      for j = 0 to sp.Xplan.sp_dist - 1 do
+        sp_issue pe l sp k (first + (j * step)) last
+      done
+    done;
     let var = l.Xplan.l_var in
     let sv = iframe.(pe).(var) and sb = ibound.(pe).(var) in
     let memo = memos.(l.Xplan.l_memo) in
     let body = l.Xplan.l_body in
     let v = ref first in
-    let continue () = if step > 0 then !v <= last else !v >= last in
-    while continue () do
+    while if step > 0 then !v <= last else !v >= last do
       iframe.(pe).(var) <- !v;
       ibound.(pe).(var) <- true;
       Memsys.charge sys ~pe cfg.Config.loop_overhead;
-      Array.iteri
-        (fun k (sp : Xplan.sp) ->
-          sp_issue pe l sp k (!v + (sp.Xplan.sp_dist * step)) last)
-        sps;
+      for k = 0 to Array.length sps - 1 do
+        let sp = sps.(k) in
+        sp_issue pe l sp k (!v + (sp.Xplan.sp_dist * step)) last
+      done;
       (* fresh register file per iteration: scalar replacement is only
          valid within a single iteration of the innermost loop *)
       memo.mn <- 0;
-      Array.iter (exec_stmt pe memo) body;
+      exec_block pe memo body;
       v := !v + step
     done;
     iframe.(pe).(var) <- sv;
     ibound.(pe).(var) <- sb
+
+  and exec_block pe memo (stmts : Xplan.stmt array) =
+    for i = 0 to Array.length stmts - 1 do
+      exec_stmt pe memo stmts.(i)
+    done
 
   and exec_loop pe (l : Xplan.loop) =
     let first = eval_bound pe l.Xplan.l_lo in
@@ -332,15 +350,15 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) ?pool
         fframe.(pe).(slot) <- eval_f pe memo src;
         fbound.(pe).(slot) <- true
     | Xplan.XIf (c, tb, eb) ->
-        if eval_cond pe memo c then Array.iter (exec_stmt pe memo) tb
-        else Array.iter (exec_stmt pe memo) eb
+        if eval_cond pe memo c then exec_block pe memo tb
+        else exec_block pe memo eb
     | Xplan.XFor l -> exec_loop pe l
     | Xplan.XCritical { xc_lock; xc_body } ->
         Memsys.lock_acquire sys ~pe xc_lock;
         (* the acquire is a coherence frontier: registers holding shared
            values cannot be trusted past it *)
         memo.mn <- 0;
-        Array.iter (exec_stmt pe memo) xc_body;
+        exec_block pe memo xc_body;
         Memsys.lock_release sys ~pe xc_lock
     | Xplan.XReduce { xflops; slot; rop; src } ->
         Memsys.charge sys ~pe (xflops * cfg.Config.flop);
@@ -498,8 +516,7 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) ?pool
             let first = eval_bound 0 s_lo in
             let last = eval_bound 0 s_hi in
             let v = ref first in
-            let continue () = if s_step > 0 then !v <= last else !v >= last in
-            while continue () do
+            while if s_step > 0 then !v <= last else !v >= last do
               for pe = 0 to n - 1 do
                 iframe.(pe).(s_var) <- !v;
                 ibound.(pe).(s_var) <- true

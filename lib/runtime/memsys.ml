@@ -104,22 +104,29 @@ type oracle = {
 
 let max_kept_violations = 16
 
-(* Per-PE vector-get staging buffer. The consumption order (oldest staged
-   line evicted first) is kept as a FIFO of [(line, generation)] pairs with
-   lazy deletion: consuming or evicting a line leaves its queue entry
+(* Per-PE CCDP staging state, in flat int structures that allocate
+   nothing in steady state. The vector-get consumption order (oldest
+   staged line evicted first) is a ring of [(line, generation)] pairs with
+   lazy deletion: consuming or evicting a line leaves its ring entry
    behind as a tombstone, detected later by a generation mismatch against
    [vstamp]. Re-staging a line that is still staged only refreshes its
-   ready cycle and keeps its queue position, exactly like the previous
-   list-based order did — and every operation is O(1) amortized where the
-   list paid O(staged lines) per consumed line. *)
+   ready cycle and keeps its ring position. The tables are cleared at
+   every barrier by a generation bump (see {!Int_table}). *)
 type pe_ctx = {
   pe : Pe.t;
-  vget : (int, int) Hashtbl.t;  (** line -> ready cycle *)
-  vstamp : (int, int) Hashtbl.t;  (** line -> generation of its live entry *)
-  vq : (int * int) Queue.t;  (** staging order, oldest first; has tombstones *)
+  vget : Int_table.t;  (** line -> ready cycle *)
+  vstamp : Int_table.t;  (** line -> generation of its live entry *)
+  mutable vq_line : int array;
+      (** staging-order ring, oldest first; has tombstones. Its capacity
+          is a power of two. *)
+  mutable vq_gen : int array;
+  mutable vq_head : int;
+  mutable vq_len : int;
   mutable vgen : int;
   mutable vget_words : int;
-  fresh : (int, unit) Hashtbl.t;  (** lines filled since the last barrier *)
+  fresh : Int_table.t;  (** lines filled since the last barrier (value 1) *)
+  vseen : Int_table.t;  (** scratch: lines met by the current vector get *)
+  mutable vlines : int array;  (** scratch: lines the current get stages *)
   mutable epoch_start : int;
   (* Buffered-mode private ledgers, reduced in PE-major order at the epoch
      barrier so sharded execution reproduces the serial reduction exactly. *)
@@ -262,12 +269,17 @@ let create cfg ?(oracle = false) ?(sabotage = No_fault) (p : Program.t) ~plan
       Array.init cfg.Config.n_pes (fun i ->
           {
             pe = Machine.pe mach i;
-            vget = Hashtbl.create 64;
-            vstamp = Hashtbl.create 64;
-            vq = Queue.create ();
+            vget = Int_table.create ();
+            vstamp = Int_table.create ();
+            vq_line = Array.make 8 0;
+            vq_gen = Array.make 8 0;
+            vq_head = 0;
+            vq_len = 0;
             vgen = 0;
             vget_words = 0;
-            fresh = Hashtbl.create 256;
+            fresh = Int_table.create ();
+            vseen = Int_table.create ();
+            vlines = Array.make 8 0;
             epoch_start = 0;
             wbuf = (if buffered then Array.make 64 0 else [||]);
             wn = 0;
@@ -570,7 +582,7 @@ let fill ?(state = 1 (* Coherence.shared *)) t ctx line =
   | Hw_dir d ->
       dir_note_eviction t ctx d;
       Coherence.Dir.add d ~line ~pe:ctx.pe.Pe.id);
-  Hashtbl.replace ctx.fresh line ()
+  Int_table.replace ctx.fresh line 1
 
 let record_arrival ctx ~stall =
   let s = ctx.pe.Pe.stats in
@@ -686,11 +698,11 @@ let oracle_check t ctx (r : Reference.t) idx addr =
         end
       end
 
-(* Consume a staged vector-get line: drop the table entries; the FIFO entry
+(* Consume a staged vector-get line: drop the table entries; the ring entry
    stays behind as a tombstone (generation mismatch). *)
 let vget_consume ctx line lw =
-  Hashtbl.remove ctx.vget line;
-  Hashtbl.remove ctx.vstamp line;
+  Int_table.remove ctx.vget line;
+  Int_table.remove ctx.vstamp line;
   ctx.vget_words <- ctx.vget_words - lw
 
 (* The ordinary cached-read protocol: consume a pending vector-get or queue
@@ -699,50 +711,53 @@ let vget_consume ctx line lw =
    leading references, whose cached copy is only trustworthy when this
    epoch's prefetch machinery put it there). [track] marks tracked shared
    reads, whose cache hits the oracle asserts over ([r], [idx] identify the
-   dynamic reference in the report). *)
+   dynamic reference in the report). Ready cycles are never negative, so
+   [-1] stands for "not staged". *)
 let cached_read ?(fresh_only = false) ?(track = false) t ctx (r : Reference.t)
     idx addr tgt =
   let self = ctx.pe.Pe.id in
   let lw = t.cfg.Config.line_words in
   let line = addr / lw in
-  match Hashtbl.find_opt ctx.vget line with
-  | Some ready ->
-      let stall = max 0 (ready - ctx.pe.Pe.clock) in
-      vget_consume ctx line lw;
+  let vready = Int_table.find ctx.vget line ~default:(-1) in
+  if vready >= 0 then begin
+    let stall = max 0 (vready - ctx.pe.Pe.clock) in
+    vget_consume ctx line lw;
+    record_arrival ctx ~stall;
+    Pe.advance ctx.pe (stall + t.cfg.Config.hit);
+    fill t ctx line;
+    filled_value t ctx addr
+  end
+  else
+    let qready = Prefetch_queue.ready_of ctx.pe.Pe.queue ~line in
+    if qready >= 0 then begin
+      let stall = max 0 (qready - ctx.pe.Pe.clock) in
+      Prefetch_queue.remove ctx.pe.Pe.queue ~line;
       record_arrival ctx ~stall;
-      Pe.advance ctx.pe (stall + t.cfg.Config.hit);
+      Pe.advance ctx.pe (stall + t.cfg.Config.pf_extract);
       fill t ctx line;
       filled_value t ctx addr
-  | None -> (
-      match Prefetch_queue.find ctx.pe.Pe.queue ~line with
-      | Some ready ->
-          let stall = max 0 (ready - ctx.pe.Pe.clock) in
-          Prefetch_queue.remove ctx.pe.Pe.queue ~line;
-          record_arrival ctx ~stall;
-          Pe.advance ctx.pe (stall + t.cfg.Config.pf_extract);
-          fill t ctx line;
-          filled_value t ctx addr
-      | None ->
-          let off =
-            if fresh_only && not (Hashtbl.mem ctx.fresh line) then -1
-            else Cache.locate ctx.pe.Pe.cache ~addr
-          in
-          if off >= 0 then begin
-            if track then oracle_check t ctx r idx addr;
-            ctx.pe.Pe.stats.Stats.hits <- ctx.pe.Pe.stats.Stats.hits + 1;
-            Pe.advance ctx.pe t.cfg.Config.hit;
-            Cache.data_at ctx.pe.Pe.cache off
-          end
-          else begin
-            (let s = ctx.pe.Pe.stats in
-             if tgt < 0 then s.Stats.miss_local <- s.Stats.miss_local + 1
-             else s.Stats.miss_remote <- s.Stats.miss_remote + 1);
-            let ac = annex_cost t ctx tgt in
-            let delay = contend t ctx tgt ~now:ctx.pe.Pe.clock ~lines:1 in
-            Pe.advance ctx.pe (ac + latency_of t ~pe:self tgt + delay);
-            fill t ctx line;
-            filled_value t ctx addr
-          end)
+    end
+    else
+      let off =
+        if fresh_only && not (Int_table.mem ctx.fresh line) then -1
+        else Cache.locate ctx.pe.Pe.cache ~addr
+      in
+      if off >= 0 then begin
+        if track then oracle_check t ctx r idx addr;
+        ctx.pe.Pe.stats.Stats.hits <- ctx.pe.Pe.stats.Stats.hits + 1;
+        Pe.advance ctx.pe t.cfg.Config.hit;
+        Cache.data_at ctx.pe.Pe.cache off
+      end
+      else begin
+        (let s = ctx.pe.Pe.stats in
+         if tgt < 0 then s.Stats.miss_local <- s.Stats.miss_local + 1
+         else s.Stats.miss_remote <- s.Stats.miss_remote + 1);
+        let ac = annex_cost t ctx tgt in
+        let delay = contend t ctx tgt ~now:ctx.pe.Pe.clock ~lines:1 in
+        Pe.advance ctx.pe (ac + latency_of t ~pe:self tgt + delay);
+        fill t ctx line;
+        filled_value t ctx addr
+      end
 
 let uncached_read t ctx addr tgt =
   (let s = ctx.pe.Pe.stats in
@@ -1251,9 +1266,9 @@ let rec dispatch_read t ctx (r : Reference.t) ~idx ~addr ~tgt ~ver route =
          consume; anything else means the issue was dropped -> bypass fetch *)
       let line = addr / t.cfg.Config.line_words in
       if
-        Hashtbl.mem ctx.vget line
-        || Prefetch_queue.find ctx.pe.Pe.queue ~line <> None
-        || Hashtbl.mem ctx.fresh line
+        Int_table.mem ctx.vget line
+        || Prefetch_queue.ready_of ctx.pe.Pe.queue ~line >= 0
+        || Int_table.mem ctx.fresh line
       then cached_read ~fresh_only:true ~track:true t ctx r idx addr tgt
       else bypass_read t ctx addr tgt
   | RCluster inner ->
@@ -1419,9 +1434,9 @@ let issue_prefetch_at ~skip_cached t ctx ~addr ~tgt =
   let line = addr / lw in
   let already =
     island_coherent t ~pe:ctx.pe.Pe.id ~tgt
-    || Hashtbl.mem ctx.vget line
-    || Prefetch_queue.find ctx.pe.Pe.queue ~line <> None
-    || ((skip_cached || Hashtbl.mem ctx.fresh line)
+    || Int_table.mem ctx.vget line
+    || Prefetch_queue.ready_of ctx.pe.Pe.queue ~line >= 0
+    || ((skip_cached || Int_table.mem ctx.fresh line)
        && Cache.probe_line ctx.pe.Pe.cache ~line)
   in
   (* the prefetch instruction executes either way; the line transfer and
@@ -1432,7 +1447,7 @@ let issue_prefetch_at ~skip_cached t ctx ~addr ~tgt =
     (* invalidate before issuing (paper Section 3): the stale copy must not
        be readable while the prefetch is in flight *)
     Cache.invalidate_line ctx.pe.Pe.cache ~line;
-    Hashtbl.remove ctx.fresh line;
+    Int_table.remove ctx.fresh line;
     let delay = contend t ctx tgt ~now:ctx.pe.Pe.clock ~lines:1 in
     let ready = ctx.pe.Pe.clock + latency_of t ~pe:ctx.pe.Pe.id tgt + delay in
     if Prefetch_queue.try_insert ctx.pe.Pe.queue ~line ~words:lw ~ready then
@@ -1457,87 +1472,125 @@ let line_of t ~pe name ~idx =
 let line_of_c t ~pe acc ~idx =
   Addr_map.resolve_h acc.ah ~pe idx / t.cfg.Config.line_words
 
-let vget_issue_h ~skip_cached t ~pe h idxs =
+(* The staging-order ring: append at the tail, growing by doubling (the
+   capacity stays a power of two); pop the oldest entry at the head. *)
+let vq_push ctx line gen =
+  let cap = Array.length ctx.vq_line in
+  if ctx.vq_len = cap then begin
+    let nl = Array.make (2 * cap) 0 and ng = Array.make (2 * cap) 0 in
+    for k = 0 to cap - 1 do
+      let j = (ctx.vq_head + k) land (cap - 1) in
+      nl.(k) <- ctx.vq_line.(j);
+      ng.(k) <- ctx.vq_gen.(j)
+    done;
+    ctx.vq_line <- nl;
+    ctx.vq_gen <- ng;
+    ctx.vq_head <- 0
+  end;
+  let j = (ctx.vq_head + ctx.vq_len) land (Array.length ctx.vq_line - 1) in
+  ctx.vq_line.(j) <- line;
+  ctx.vq_gen.(j) <- gen;
+  ctx.vq_len <- ctx.vq_len + 1
+
+let vlines_push ctx k line =
+  if k = Array.length ctx.vlines then begin
+    let nb = Array.make (2 * k) 0 in
+    Array.blit ctx.vlines 0 nb 0 k;
+    ctx.vlines <- nb
+  end;
+  ctx.vlines.(k) <- line
+
+(* A vector get of the [n] word addresses [addrs.(0..n-1)], in issue
+   order. *)
+let vget_issue_h ~skip_cached t ~pe h (addrs : int array) (n : int) =
   let ctx = t.ctxs.(pe) in
   let lw = t.cfg.Config.line_words in
-  let lines = Hashtbl.create 64 in
-  let ordered = ref [] in
+  let seen = ctx.vseen in
+  Int_table.clear seen;
+  let m = ref 0 in
   let first_target = ref (-1) in
-  List.iter
-    (fun idx ->
-      let addr = Addr_map.resolve_h h ~pe idx in
-      let tgt = Addr_map.target_of h ~pe ~addr in
-      if !first_target < 0 && tgt >= 0 then first_target := tgt;
-      let line = addr / lw in
-      if not (Hashtbl.mem lines line) then begin
-        Hashtbl.replace lines line ();
-        (* skip lines this epoch's machinery already staged or fetched,
-           and island-homed lines under the clustered protocol (served
-           coherently; staging would only displace valid copies) *)
-        if
-          not
-            (island_coherent t ~pe ~tgt
-            || ((skip_cached || Hashtbl.mem ctx.fresh line)
-               && Cache.probe_line ctx.pe.Pe.cache ~line)
-            || Hashtbl.mem ctx.vget line)
-        then ordered := line :: !ordered
-      end)
-    idxs;
-  let ordered = List.rev !ordered in
-  let n = List.length ordered in
-  if Hashtbl.length lines > 0 then begin
+  for i = 0 to n - 1 do
+    let addr = addrs.(i) in
+    let tgt = Addr_map.target_of h ~pe ~addr in
+    if !first_target < 0 && tgt >= 0 then first_target := tgt;
+    let line = addr / lw in
+    if not (Int_table.mem seen line) then begin
+      Int_table.replace seen line 1;
+      (* skip lines this epoch's machinery already staged or fetched,
+         and island-homed lines under the clustered protocol (served
+         coherently; staging would only displace valid copies) *)
+      if
+        not
+          (island_coherent t ~pe ~tgt
+          || ((skip_cached || Int_table.mem ctx.fresh line)
+             && Cache.probe_line ctx.pe.Pe.cache ~line)
+          || Int_table.mem ctx.vget line)
+      then begin
+        vlines_push ctx !m line;
+        incr m
+      end
+    end
+  done;
+  let m = !m in
+  if n > 0 then begin
     (* the block-transfer call is issued whenever the operation executes —
        a redundant vector prefetch still pays its start-up and translation
        overhead, even if every line turns out to be staged already *)
     let s = ctx.pe.Pe.stats in
     s.Stats.pf_vector <- s.Stats.pf_vector + 1;
-    s.Stats.pf_vector_words <- s.Stats.pf_vector_words + (n * lw);
+    s.Stats.pf_vector_words <- s.Stats.pf_vector_words + (m * lw);
     let ac = annex_cost t ctx !first_target in
     (* one link booking for the whole block: a vector get streams all its
        lines through the owner's port back-to-back *)
     let delay =
-      if n = 0 then 0
-      else contend t ctx !first_target ~now:ctx.pe.Pe.clock ~lines:n
+      if m = 0 then 0
+      else contend t ctx !first_target ~now:ctx.pe.Pe.clock ~lines:m
     in
     Pe.advance ctx.pe (ac + t.cfg.Config.vget_startup);
-    List.iteri
-      (fun k line ->
-        Cache.invalidate_line ctx.pe.Pe.cache ~line;
-        Hashtbl.remove ctx.fresh line;
-        (* the staging buffer holds at most a cache's worth of in-flight
-           vector data: staging beyond that displaces the oldest unconsumed
-           lines — the eviction hazard that motivates the paper's one-level
-           pulling restriction. Tombstoned FIFO entries (consumed or already
-           displaced lines) are skipped without counting as evictions. *)
-        while
-          ctx.vget_words + lw > t.cfg.Config.cache_words
-          && Hashtbl.length ctx.vget > 0
-        do
-          let oldest, gen = Queue.pop ctx.vq in
-          match Hashtbl.find_opt ctx.vstamp oldest with
-          | Some g when g = gen ->
-              vget_consume ctx oldest lw;
-              s.Stats.pf_evicted <- s.Stats.pf_evicted + 1
-          | Some _ | None -> ()
-        done;
-        let ready =
-          ctx.pe.Pe.clock + delay + ((k + 1) * lw * t.cfg.Config.vget_per_word)
-        in
-        if not (Hashtbl.mem ctx.vget line) then begin
-          ctx.vgen <- ctx.vgen + 1;
-          Hashtbl.replace ctx.vstamp line ctx.vgen;
-          Queue.push (line, ctx.vgen) ctx.vq;
-          ctx.vget_words <- ctx.vget_words + lw
-        end;
-        Hashtbl.replace ctx.vget line ready)
-      ordered
+    for k = 0 to m - 1 do
+      let line = ctx.vlines.(k) in
+      Cache.invalidate_line ctx.pe.Pe.cache ~line;
+      Int_table.remove ctx.fresh line;
+      (* the staging buffer holds at most a cache's worth of in-flight
+         vector data: staging beyond that displaces the oldest unconsumed
+         lines — the eviction hazard that motivates the paper's one-level
+         pulling restriction. Tombstoned ring entries (consumed or already
+         displaced lines) are skipped without counting as evictions. *)
+      while
+        ctx.vget_words + lw > t.cfg.Config.cache_words
+        && Int_table.length ctx.vget > 0
+      do
+        let oldest = ctx.vq_line.(ctx.vq_head)
+        and gen = ctx.vq_gen.(ctx.vq_head) in
+        ctx.vq_head <- (ctx.vq_head + 1) land (Array.length ctx.vq_line - 1);
+        ctx.vq_len <- ctx.vq_len - 1;
+        if Int_table.find ctx.vstamp oldest ~default:(-1) = gen then begin
+          vget_consume ctx oldest lw;
+          s.Stats.pf_evicted <- s.Stats.pf_evicted + 1
+        end
+      done;
+      let ready =
+        ctx.pe.Pe.clock + delay + ((k + 1) * lw * t.cfg.Config.vget_per_word)
+      in
+      if not (Int_table.mem ctx.vget line) then begin
+        ctx.vgen <- ctx.vgen + 1;
+        Int_table.replace ctx.vstamp line ctx.vgen;
+        vq_push ctx line ctx.vgen;
+        ctx.vget_words <- ctx.vget_words + lw
+      end;
+      Int_table.replace ctx.vget line ready
+    done
   end
 
 let vget_issue ?(skip_cached = false) t ~pe name idxs =
-  vget_issue_h ~skip_cached t ~pe (handle_of t name) idxs
+  let h = handle_of t name in
+  let addrs =
+    Array.of_list (List.map (fun idx -> Addr_map.resolve_h h ~pe idx) idxs)
+  in
+  vget_issue_h ~skip_cached t ~pe h addrs (Array.length addrs)
 
-let vget_issue_c ?(skip_cached = false) t ~pe acc idxs =
-  vget_issue_h ~skip_cached t ~pe acc.ah idxs
+let vget_issue_c ?(skip_cached = false) t ~pe acc ~addrs ~n =
+  vget_issue_h ~skip_cached t ~pe acc.ah addrs n
 
 (* Barrier drain of the buffered-mode private ledgers, in PE-major order —
    the same order serial replay executes PEs in, so the settled versions,
@@ -1611,14 +1664,15 @@ let epoch_boundary t =
   if t.buffered then drain_buffered t;
   Array.iter
     (fun ctx ->
-      let leftovers = Hashtbl.length ctx.vget in
+      let leftovers = Int_table.length ctx.vget in
       ctx.pe.Pe.stats.Stats.pf_unused <-
         ctx.pe.Pe.stats.Stats.pf_unused + leftovers;
-      Hashtbl.reset ctx.vget;
-      Hashtbl.reset ctx.vstamp;
-      Queue.clear ctx.vq;
+      Int_table.clear ctx.vget;
+      Int_table.clear ctx.vstamp;
+      ctx.vq_head <- 0;
+      ctx.vq_len <- 0;
       ctx.vget_words <- 0;
-      Hashtbl.reset ctx.fresh)
+      Int_table.clear ctx.fresh)
     t.ctxs;
   Hashtbl.iter
     (fun _ v ->

@@ -175,9 +175,17 @@ val pf_issue_c : ?skip_cached:bool -> t -> pe:int -> raccess -> addr:int -> unit
 (** Prepared twin of {!line_of}. *)
 val line_of_c : t -> pe:int -> raccess -> idx:int array -> int
 
-(** Prepared twin of {!vget_issue}. *)
+(** Prepared twin of {!vget_issue}: the get covers the [n] word addresses
+    [addrs.(0) .. addrs.(n-1)], each from {!access_addr}, in issue order.
+    Reads [addrs] only during the call, so the caller may reuse it. *)
 val vget_issue_c :
-  ?skip_cached:bool -> t -> pe:int -> raccess -> int array list -> unit
+  ?skip_cached:bool ->
+  t ->
+  pe:int ->
+  raccess ->
+  addrs:int array ->
+  n:int ->
+  unit
 
 (** Charge pure compute cycles to a PE. *)
 val charge : t -> pe:int -> int -> unit

@@ -12,7 +12,8 @@
    per-iteration environments or register-memo hashtables, so the last
    group is a Gc regression gate: the compiled engine must stay under
    half the reference engine's minor-heap words on MXM/CCDP (it measures
-   ~1/3; the pre-refactor ratio was 1). *)
+   ~1/3; the pre-refactor ratio was 1), and under a fixed number of minor
+   words per simulated access on MXM and TOMCATV. *)
 
 open Ccdp_test_support.Tutil
 module Memsys = Ccdp_runtime.Memsys
@@ -225,6 +226,33 @@ let alloc_cases =
              ref_mw)
           (plan_mw < 0.5 *. ref_mw));
   ]
+  (* Absolute gate on the steady-state hot path: minor words per simulated
+     access (reads + writes) of one warm compiled-plan CCDP run, 8 PEs.
+     Measured with the hashtable/list staging structures: MXM 25.34,
+     TOMCATV 43.49. With the flat int staging structures: MXM 10.16,
+     TOMCATV 15.77. The bounds are the latter plus 25%. *)
+  @ List.map
+      (fun (name, w, bound) ->
+        case
+          (Printf.sprintf "%s/ccdp minor words per access <= %.1f" name bound)
+          (fun () ->
+            let cfg, prog, plan =
+              setup ~n_pes:8 Memsys.Ccdp w.Workload.program
+            in
+            let run () = Interp.run cfg prog ~plan ~mode:Memsys.Ccdp () in
+            let r = run () in
+            let accesses =
+              r.Interp.stats.Ccdp_machine.Stats.reads
+              + r.Interp.stats.Ccdp_machine.Stats.writes
+            in
+            let per = minor_words_of run /. float_of_int accesses in
+            check_true
+              (Printf.sprintf "%.2f words/access <= %.1f" per bound)
+              (per <= bound)))
+      [
+        ("MXM", Ccdp_workloads.Mxm.workload ~n:32, 12.7);
+        ("TOMCATV", Ccdp_workloads.Tomcatv.workload ~n:16 ~iters:1, 19.7);
+      ]
 
 let () =
   Ccdp_exec.Pool.with_pool ~jobs:4 (fun pool ->

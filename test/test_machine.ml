@@ -45,6 +45,7 @@ let config_tests =
             ("pf_extract", { base with Config.pf_extract = -1 });
             ("annex_setup", { base with Config.annex_setup = -1 });
             ("annex_entries", { base with Config.annex_entries = -1 });
+            ("annex_entries = 0", { base with Config.annex_entries = 0 });
             ("vget_startup", { base with Config.vget_startup = -1 });
             ("vget_per_word", { base with Config.vget_per_word = -1 });
             ("barrier_base", { base with Config.barrier_base = -1 });
@@ -61,6 +62,16 @@ let config_tests =
         | other ->
             Alcotest.failf "expected exactly one problem, got %d"
               (List.length other));
+    case "an empty annex is rejected by validation, not by the annex"
+      (fun () ->
+        let broken = { (Config.t3d ~n_pes:4) with Config.annex_entries = 0 } in
+        check_true "validate names it"
+          (Config.validate broken = [ "annex_entries must be positive" ]);
+        match Machine.create broken with
+        | _ -> Alcotest.fail "Machine.create accepted annex_entries = 0"
+        | exception Invalid_argument msg ->
+            check_true ("reported as a bad config: " ^ msg)
+              (String.length msg > 14 && String.sub msg 0 14 = "Machine.create"));
   ]
 
 let machine_tests =
@@ -122,6 +133,51 @@ let annex_tests =
         check_false "miss after clear" (Dtb_annex.touch a 1));
   ]
 
+(* The list LRU the array annex replaced, kept as the model: most recent
+   first, truncated to the capacity. *)
+let model_touch entries lru pe =
+  let hit = List.mem pe lru in
+  let lru = pe :: List.filter (fun p -> p <> pe) lru in
+  (hit, List.filteri (fun i _ -> i < entries) lru)
+
+type annex_op = Touch of int | Clear
+
+let annex_op_gen =
+  QCheck.Gen.(
+    frequency [ (9, map (fun pe -> Touch pe) (int_range 0 9)); (1, return Clear) ])
+
+let annex_op_print = function
+  | Touch pe -> Printf.sprintf "touch %d" pe
+  | Clear -> "clear"
+
+let annex_props =
+  [
+    qcheck ~count:500 "array annex agrees with the list LRU model"
+      QCheck.(
+        pair (int_range 1 6)
+          (make
+             ~print:(fun ops -> String.concat "; " (List.map annex_op_print ops))
+             Gen.(list_size (int_range 0 60) annex_op_gen)))
+      (fun (entries, ops) ->
+        let a = Dtb_annex.create ~entries in
+        let model = ref [] in
+        List.for_all
+          (fun op ->
+            let same_hit =
+              match op with
+              | Touch pe ->
+                  let hit, lru = model_touch entries !model pe in
+                  model := lru;
+                  Dtb_annex.touch a pe = hit
+              | Clear ->
+                  Dtb_annex.clear a;
+                  model := [];
+                  true
+            in
+            same_hit && Dtb_annex.resident a = !model)
+          ops);
+  ]
+
 let stats_tests =
   [
     case "merge sums counters" (fun () ->
@@ -146,6 +202,6 @@ let () =
     [
       ("config", config_tests);
       ("machine", machine_tests);
-      ("annex", annex_tests);
+      ("annex", annex_tests @ annex_props);
       ("stats", stats_tests);
     ]
