@@ -126,6 +126,18 @@ let jobs_arg =
 
 let resolve_jobs jobs = Ccdp_exec.Pool.resolve_jobs ?jobs ()
 
+(* A subscript outside its array's extents is an error in the program,
+   not in the simulator: report it at the reference (FILE:LINE:COL when
+   the program came from CRAFT text, else under [what]) and exit 2. *)
+let reporting_bad_subscripts what f =
+  try f ()
+  with Ccdp_runtime.Addr_map.Out_of_bounds { loc; msg } ->
+    (match loc with
+    | Ccdp_ir.Loc.Src { line; col } ->
+        Printf.eprintf "%s:%d:%d: error: %s\n" what line col msg
+    | Ccdp_ir.Loc.Synthetic -> Printf.eprintf "%s: error: %s\n" what msg);
+    exit 2
+
 (* ---- commands ---- *)
 
 let list_cmd =
@@ -150,6 +162,7 @@ let analyze_cmd =
 
 let run_cmd =
   let run name n iters pe mode (_, machine) verify jobs =
+    reporting_bad_subscripts name @@ fun () ->
     let w = Workload.find (workloads_of ~n ~iters) name in
     (* here the pool shards the single run's epochs (Interp's intra-run
        parallelism) rather than a list of runs; the simulated result is
@@ -238,6 +251,7 @@ let load_cmd =
         else Printf.eprintf "%s:%d: error: %s\n" path ln msg;
         exit 1
     in
+    reporting_bad_subscripts path @@ fun () ->
     let cfg = Ccdp_machine.Config.t3d ~n_pes:pe in
     let compiled = Ccdp_core.Pipeline.compile cfg program in
     Format.printf "%a@.@." Ccdp_core.Pipeline.report compiled;

@@ -96,6 +96,7 @@ type t = {
           their own scope) *)
   n_loops : int;
   sp_counts : int array;  (** loop uid -> number of sp ops (engine state) *)
+  stack_depth : int;
 }
 
 let n_int t = Array.length t.lay.int_names
@@ -292,17 +293,35 @@ let lower (p : Program.t) (ep : Epoch.t) (plan : Annot.plan) =
     | Fexpr.Unop (op, a) -> XUnop (op, lower_f a)
     | Fexpr.Binop (op, a, b) -> XBinop (op, lower_f a, lower_f b)
   in
+  (* float-stack slots an evaluation needs: an operator evaluates its left
+     operand in place and its right one a slot above *)
+  let rec depth = function
+    | XConst _ | XIvar _ | XSvar _ | XRead _ -> 1
+    | XUnop (_, a) -> depth a
+    | XBinop (_, a, b) -> max (depth a) (1 + depth b)
+  in
+  let stack_depth = ref 2 in
+  let need d = if d > !stack_depth then stack_depth := d in
+  let lower_top e =
+    let x = lower_f e in
+    need (depth x);
+    x
+  in
   let lower_cond = function
     | Stmt.Icond (op, a, b) -> XIcond (op, laff a, laff b)
-    | Stmt.Fcond (op, a, b) -> XFcond (op, lower_f a, lower_f b)
+    | Stmt.Fcond (op, a, b) ->
+        let xa = lower_top a in
+        let xb = lower_f b in
+        need (1 + depth xb);
+        XFcond (op, xa, xb)
   in
   let rec lower_stmts stmts = Array.of_list (List.map lower_stmt stmts)
   and lower_stmt s =
     match s with
     | Stmt.Assign (r, e) ->
-        XAssign { xflops = Stmt.direct_flops s; dst = new_write r; src = lower_f e }
+        XAssign { xflops = Stmt.direct_flops s; dst = new_write r; src = lower_top e }
     | Stmt.Sassign (v, e) ->
-        XSassign { xflops = Stmt.direct_flops s; slot = fslot v; src = lower_f e }
+        XSassign { xflops = Stmt.direct_flops s; slot = fslot v; src = lower_top e }
     | Stmt.If (c, a, b) -> XIf (lower_cond c, lower_stmts a, lower_stmts b)
     | Stmt.For l -> XFor (lower_loop l)
     | Stmt.Critical c ->
@@ -313,7 +332,7 @@ let lower (p : Program.t) (ep : Epoch.t) (plan : Annot.plan) =
             xflops = Stmt.direct_flops s;
             slot = fslot r.Stmt.rvar;
             rop = r.Stmt.rop;
-            src = lower_f r.Stmt.rexpr;
+            src = lower_top r.Stmt.rexpr;
           }
     | Stmt.Call _ ->
         invalid_arg "Xplan.lower: program contains calls; inline first"
@@ -418,4 +437,5 @@ let lower (p : Program.t) (ep : Epoch.t) (plan : Annot.plan) =
     memo_caps = Array.of_list (List.rev !caps_rev);
     n_loops = !n_loops;
     sp_counts = Array.of_list (List.rev !sp_counts_rev);
+    stack_depth = !stack_depth;
   }

@@ -24,12 +24,10 @@
     defined by {!Ccdp_runtime.Interp} and checked cycle-exactly against
     {!Ccdp_runtime.Interp_ref}.
 
-    One caveat inherited from keying register memos by canonical address:
-    a program whose subscripts run out of an array's declared bounds can
-    alias two IR-distinct elements onto one address. Such programs already
-    read/write aliased simulated memory; the memo then also aliases their
-    register copies. In-bounds programs (everything the generators and
-    workloads produce) are unaffected. *)
+    Register memos are keyed by canonical address, which is sound because
+    the address kernel bounds-checks every subscript
+    ({!Ccdp_runtime.Addr_map.Out_of_bounds}): two IR-distinct elements
+    never share an address. *)
 
 open Ccdp_ir
 
@@ -126,6 +124,11 @@ type t = {
           their own scope) *)
   n_loops : int;
   sp_counts : int array;  (** loop uid -> number of sp ops (engine state) *)
+  stack_depth : int;
+      (** float-stack slots the deepest expression, condition or reduction
+          needs when an operator evaluates its left operand in place and its
+          right operand one slot above (at least 2: a reduction combines
+          its partial with the new contribution) *)
 }
 
 val n_int : t -> int

@@ -70,7 +70,7 @@ let locate t ~addr =
     (slot * t.lwords) + (addr mod t.lwords)
   end
 
-let data_at t off = t.data.(off)
+let copy_word t off dst k = dst.(k) <- t.data.(off)
 
 let probe_line t ~line = slot_of_line t line >= 0
 
@@ -119,7 +119,7 @@ let fill t ?(tick = 0) ?vers ?(state = 1) ~line payload =
   touch t slot;
   evicted
 
-let fill_from t ?(tick = 0) ?(state = 1) ~vers ~line ~src ~pos () =
+let fill_from t ~tick ~state ~vers ~line ~src ~pos =
   let slot = slot_for_fill t line in
   note_eviction t slot line;
   t.tags.(slot) <- line;
@@ -143,22 +143,23 @@ let set_line_state t ~line state =
 
 let fill_tick t ~line =
   let slot = slot_of_line t line in
-  if slot < 0 then None else Some t.fill_ticks.(slot)
+  if slot < 0 then -1 else t.fill_ticks.(slot)
 
-let update_if_present t ?ver ~addr value =
-  let line = addr / t.lwords in
-  let slot = slot_of_line t line in
-  if slot >= 0 then begin
-    let off = (slot * t.lwords) + (addr mod t.lwords) in
-    t.data.(off) <- value;
-    match ver with Some v -> t.vers.(off) <- v | None -> ()
+(* data-array offset of a resident word, -1 on a miss (no recency update) *)
+let offset_of t addr =
+  let slot = slot_of_line t (addr / t.lwords) in
+  if slot < 0 then -1 else (slot * t.lwords) + (addr mod t.lwords)
+
+let update_from t ~ver ~addr src k =
+  let off = offset_of t addr in
+  if off >= 0 then begin
+    t.data.(off) <- src.(k);
+    if ver >= 0 then t.vers.(off) <- ver
   end
 
 let word_version t ~addr =
-  let line = addr / t.lwords in
-  let slot = slot_of_line t line in
-  if slot < 0 then None
-  else Some t.vers.((slot * t.lwords) + (addr mod t.lwords))
+  let off = offset_of t addr in
+  if off < 0 then -1 else t.vers.(off)
 
 let invalidate_line t ~line =
   let slot = slot_of_line t line in
@@ -170,6 +171,5 @@ let valid_lines t =
   Array.fold_left (fun acc tag -> if tag >= 0 then acc + 1 else acc) 0 t.tags
 
 let peek t ~addr =
-  let line = addr / t.lwords in
-  let slot = slot_of_line t line in
-  if slot < 0 then None else Some t.data.((slot * t.lwords) + (addr mod t.lwords))
+  let off = offset_of t addr in
+  if off < 0 then None else Some t.data.(off)

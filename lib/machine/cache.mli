@@ -24,13 +24,15 @@ val line_words : t -> int
 val read : t -> addr:int -> float option
 
 (** Allocation-free hit probe: the data-array offset of the addressed word
-    (pass it to {!data_at}), or [-1] on a miss. Updates recency on a hit,
+    (pass it to {!copy_word}), or [-1] on a miss. Updates recency on a hit,
     exactly as {!read} does. *)
 val locate : t -> addr:int -> int
 
-(** Payload word at an offset returned by {!locate}. Only valid until the
-    next fill or invalidation. *)
-val data_at : t -> int -> float
+(** [copy_word t off dst k] stores the payload word at [off] (from
+    {!locate}) into [dst.(k)]; the offset is only valid until the next fill
+    or invalidation. Destination-passing, so the float is never boxed
+    across the module boundary. *)
+val copy_word : t -> int -> float array -> int -> unit
 
 (** Hit test without recency update. *)
 val probe_line : t -> line:int -> bool
@@ -51,13 +53,15 @@ val fill :
     [line_words] payload straight out of [src] starting at word [pos]
     (memory itself), avoiding the [Array.sub] copy {!fill} requires. [vers]
     are per-word version stamps read at the same [pos]; pass [[||]] to reset
-    the stamps to 0. Same replacement policy as {!fill} (resident slot
-    reused, else true LRU way); the displaced line is reported through
+    the stamps to 0. [tick] and [state] are as for {!fill}, but required:
+    an optional argument passed a value allocates its [Some]. Same
+    replacement policy as {!fill} (resident slot reused, else true LRU
+    way); the displaced line is reported through
     {!last_evicted_line}/{!last_evicted_state} rather than a return value,
     keeping the common path allocation-free. *)
 val fill_from :
-  t -> ?tick:int -> ?state:int -> vers:int array -> line:int ->
-  src:float array -> pos:int -> unit -> unit
+  t -> tick:int -> state:int -> vers:int array -> line:int ->
+  src:float array -> pos:int -> unit
 
 (** Line displaced by the most recent {!fill}/{!fill_from} (-1 = none —
     the slot was empty or the line was already resident). Scratch state:
@@ -78,20 +82,23 @@ val line_state : t -> line:int -> int
     sharing fetch). *)
 val set_line_state : t -> line:int -> int -> unit
 
-(** Fill-time stamp of a resident line ([None] on a miss) — the version
-    check of hardware-supported compiler-directed schemes compares this
-    against the array's last-write version. *)
-val fill_tick : t -> line:int -> int option
+(** Fill-time stamp of a resident line (-1 on a miss; fill stamps are
+    never negative) — the version check of hardware-supported
+    compiler-directed schemes compares this against the array's
+    last-write version. *)
+val fill_tick : t -> line:int -> int
 
-(** Write-through update: if the addressed line is resident, patch the
-    cached copy (memory is updated by the caller). [ver] additionally
-    stamps the word's version tag with the write's version. *)
-val update_if_present : t -> ?ver:int -> addr:int -> float -> unit
+(** Write-through update from [src.(k)]: if the addressed line is
+    resident, patch the cached copy (memory is updated by the caller).
+    [ver >= 0] additionally stamps the word's version tag with the write's
+    version; [-1] leaves the tag. No recency update. *)
+val update_from : t -> ver:int -> addr:int -> float array -> int -> unit
 
-(** Version tag of a resident word without recency update ([None] on a
-    miss). The staleness oracle asserts this is no older than the last
-    write to the address that completed before the current epoch. *)
-val word_version : t -> addr:int -> int option
+(** Version tag of a resident word without recency update (-1 on a miss;
+    tags are never negative). The staleness oracle asserts this is no
+    older than the last write to the address that completed before the
+    current epoch. *)
+val word_version : t -> addr:int -> int
 
 val invalidate_line : t -> line:int -> unit
 val invalidate_all : t -> unit

@@ -67,21 +67,29 @@ module Dir = struct
     done;
     !c
 
-  (* Visit sharers in ascending PE order — the deterministic invalidation
-     order both engines replay identically. *)
-  let iter_sharers t ~line f =
+  (* Sharers are walked in ascending PE order — the deterministic
+     invalidation order both engines replay identically — by a cursor
+     rather than a callback, so the walk builds no closure. *)
+  let next_sharer t ~line ~from =
     let base = line * t.bwords in
-    for w = 0 to t.bwords - 1 do
-      let bits = t.presence.(base + w) in
-      if bits <> 0 then
-        for b = 0 to 62 do
-          if bits land (1 lsl b) <> 0 then f ((w * 63) + b)
-        done
-    done
+    let limit = t.bwords * 63 in
+    let p = ref from and found = ref (-1) in
+    while !found < 0 && !p < limit do
+      let w = !p / 63 in
+      let bits = t.presence.(base + w) lsr (!p mod 63) in
+      if bits = 0 then p := (w + 1) * 63
+      else if bits land 1 <> 0 then found := !p
+      else incr p
+    done;
+    !found
 
   let sharers t ~line =
     let acc = ref [] in
-    iter_sharers t ~line (fun pe -> acc := pe :: !acc);
+    let p = ref (next_sharer t ~line ~from:0) in
+    while !p >= 0 do
+      acc := !p :: !acc;
+      p := next_sharer t ~line ~from:(!p + 1)
+    done;
     List.rev !acc
 
   let clear_line t ~line =

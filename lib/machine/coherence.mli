@@ -44,9 +44,11 @@ module Dir : sig
   val remove : t -> line:int -> pe:int -> unit
   val sharer_count : t -> line:int -> int
 
-  (** Visit sharers in ascending PE order (the deterministic invalidation
-      order). *)
-  val iter_sharers : t -> line:int -> (int -> unit) -> unit
+  (** The lowest recorded sharer with PE id [>= from], or -1. Walking
+      [from] upward visits sharers in ascending PE order (the
+      deterministic invalidation order); the walk may remove the sharer it
+      stands on. *)
+  val next_sharer : t -> line:int -> from:int -> int
 
   (** Sharer list in ascending PE order (tests/introspection). *)
   val sharers : t -> line:int -> int list

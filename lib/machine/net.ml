@@ -94,6 +94,9 @@ type t = {
   cbus_booked : int array;
       (** per-cluster snoop bus: cycles of service demanded since the last
           barrier on each island's local bus *)
+  mutable last_depth : int;
+      (** depth reported by the latest acquire: an out-field, so the
+          per-transaction booking returns one int and allocates nothing *)
 }
 
 let hops_geom geom a b =
@@ -147,6 +150,7 @@ let create ?(hop = 0) ?(cluster_pes = 1) kind ~n_pes =
     link_depth = Array.make n_pes 0;
     bus_booked = 0;
     cbus_booked = Array.make (n_pes / cluster_pes) 0;
+    last_depth = 0;
   }
 
 let kind t = t.kind
@@ -179,13 +183,25 @@ let acquire t ~dst ~now ~hold =
   if now >= busy then begin
     t.link_busy.(dst) <- now + hold;
     t.link_depth.(dst) <- 1;
-    (0, 1)
+    t.last_depth <- 1;
+    0
   end
   else begin
     let depth = t.link_depth.(dst) + 1 in
     t.link_depth.(dst) <- depth;
     t.link_busy.(dst) <- busy + hold;
-    (busy - now, depth)
+    t.last_depth <- depth;
+    busy - now
+  end
+
+let book_backlog t ~backlog ~hold =
+  if backlog > 0 then begin
+    t.last_depth <- (backlog / hold) + 1;
+    backlog
+  end
+  else begin
+    t.last_depth <- 1;
+    0
   end
 
 (* The snoop bus is one machine-wide resource every MSI/MESI coherence
@@ -202,12 +218,13 @@ let acquire t ~dst ~now ~hold =
    stays almost free (a PE's own elapsed time outruns its own holds); the
    backlog — and with it snooping's scaling wall — grows with every PE
    sharing the one bus. Deterministic and replay-order independent enough:
-   both engines book the identical global sequence. Returns
-   (delay, transactions queued ahead, including this one). *)
+   both engines book the identical global sequence. Returns the delay and
+   leaves the transactions queued ahead, including this one, in
+   [last_depth]. *)
 let acquire_bus t ~now ~since ~hold =
   let backlog = t.bus_booked - (now - since) in
   t.bus_booked <- t.bus_booked + hold;
-  if backlog > 0 then (backlog, (backlog / hold) + 1) else (0, 1)
+  book_backlog t ~backlog ~hold
 
 (* Same throughput-backlog model, one counter per coherence cluster: the
    Clustered mode's island snoops serialize on their island's local bus,
@@ -216,7 +233,9 @@ let acquire_bus t ~now ~since ~hold =
 let acquire_cluster_bus t ~cluster ~now ~since ~hold =
   let backlog = t.cbus_booked.(cluster) - (now - since) in
   t.cbus_booked.(cluster) <- t.cbus_booked.(cluster) + hold;
-  if backlog > 0 then (backlog, (backlog / hold) + 1) else (0, 1)
+  book_backlog t ~backlog ~hold
+
+let last_depth t = t.last_depth
 
 let reset_links t =
   Array.fill t.link_busy 0 t.n_pes 0;

@@ -71,23 +71,24 @@ val same_cluster : t -> int -> int -> bool
 val cost : t -> src:int -> dst:int -> int
 
 (** [acquire t ~dst ~now ~hold] books [hold] cycles of the bottleneck link
-    into PE [dst] starting at cycle [now] and returns
-    [(queueing_delay, burst_depth)]: the delay until the link is free, and
-    how many transfers (including this one) the current busy burst holds.
-    Deterministic — link state is a pure function of the acquire sequence. *)
-val acquire : t -> dst:int -> now:int -> hold:int -> int * int
+    into PE [dst] starting at cycle [now] and returns the queueing delay
+    until the link is free; {!last_depth} then reports how many transfers
+    (including this one) the current busy burst holds. Deterministic —
+    link state is a pure function of the acquire sequence. *)
+val acquire : t -> dst:int -> now:int -> hold:int -> int
 
 (** [acquire_bus t ~now ~since ~hold] books [hold] cycles of the
     machine-wide serialized snoop bus for a transaction happening at local
     cycle [now] on a PE whose current epoch began at cycle [since] (the
-    post-barrier clock). Returns [(queueing_delay, backlog_depth)]. The
+    post-barrier clock). Returns the queueing delay; {!last_depth} then
+    reports the backlog depth. The
     bus is modelled as a throughput bottleneck — accumulated service
     demand since the last barrier versus the requester's elapsed epoch
     time — rather than a next-free-cycle port, because epochs are
     replayed PE-major on private clocks (see the implementation comment).
     Every PE's coherence transactions share the single counter; only the
     bus-snooping modes use it. Deterministic. *)
-val acquire_bus : t -> now:int -> since:int -> hold:int -> int * int
+val acquire_bus : t -> now:int -> since:int -> hold:int -> int
 
 (** [acquire_cluster_bus t ~cluster ~now ~since ~hold] is [acquire_bus]
     scoped to one island's local snoop bus: the same throughput-backlog
@@ -95,7 +96,13 @@ val acquire_bus : t -> now:int -> since:int -> hold:int -> int * int
     coherence storm never delays another's. Used by the Clustered mode's
     intra-cluster snoops. *)
 val acquire_cluster_bus :
-  t -> cluster:int -> now:int -> since:int -> hold:int -> int * int
+  t -> cluster:int -> now:int -> since:int -> hold:int -> int
+
+(** Burst (link) or backlog (bus) depth of the most recent acquire,
+    including that transaction. Bookings are only made by serially
+    replayed runs (contention and snooping both disable epoch sharding),
+    so the out-field is never raced on. *)
+val last_depth : t -> int
 
 (** Forget all link (and bus) bookings (barriers drain the network). *)
 val reset_links : t -> unit

@@ -4,7 +4,13 @@
     space ([pe * pe_span .. (pe+1) * pe_span)), mirroring the T3D's
     PE-number/local-offset physical addressing. Each array gets a
     line-aligned base inside the window; a distributed element lives in its
-    owner's window, a replicated (or private) element in every window. *)
+    owner's window, a replicated (or private) element in every window.
+
+    This module is the one place that maps an element to an address. Each
+    array's CRAFT layout ({!Ccdp_craft.Layout}) is compiled once, at
+    {!make}, into a flat address kernel ({!handle}); every address the
+    simulator computes — timed accesses, prefetches, initialization,
+    read-back, verification — is one evaluation of that kernel. *)
 
 type t
 
@@ -24,35 +30,49 @@ val pe_span : t -> int
 (** Total words of the global space ([n_pes * pe_span]). *)
 val total_words : t -> int
 
-val layout : t -> string -> Ccdp_craft.Layout.t
+(** An element subscript outside its array's declared extents. [loc] is
+    the source span of the reference that computed it ([Loc.Synthetic]
+    when the address was requested by name); [msg] reads
+    ["A: index 8 out of bounds 0..7 in dim 0"]. *)
+exception Out_of_bounds of { loc : Ccdp_ir.Loc.t; msg : string }
 
-(** Address of an element and its location relative to the accessing PE.
-    Replicated/private arrays resolve to the accessing PE's own copy. *)
-val resolve :
-  t -> pe:int -> string -> int array -> int * [ `Local | `Remote of int ]
+(** {1 Address kernels} *)
 
-(** {1 Pre-resolved handles (hot path)}
-
-    A handle captures one array's layout and base so the per-access path is
-    pure arithmetic: no string hashing, no tuple or variant allocation. *)
-
+(** One array's compiled address kernel: per-dimension word strides over
+    the owner's window, the distributed dimension with its kind and chunk,
+    the declared extents, the array's base, and the source span reported
+    by {!Out_of_bounds}. *)
 type handle
 
-val handle : t -> string -> handle
+(** The kernel of an array. [loc] tags the handle with the span of the
+    static reference it serves (default [Loc.Synthetic]).
+    @raise Invalid_argument on an unknown array. *)
+val handle : t -> ?loc:Ccdp_ir.Loc.t -> string -> handle
 
-(** Address of an element as seen from [pe] — same address [resolve]
-    computes, without the target component. *)
+(** Address of an element as seen from [pe]: the owner's copy for
+    distributed data (on PE 0 for undistributed shared arrays), [pe]'s own
+    copy for replicated and private data. Every subscript is checked
+    against its extent.
+    @raise Out_of_bounds on a subscript outside the declared extents.
+    @raise Invalid_argument on a rank mismatch. *)
 val resolve_h : handle -> pe:int -> int array -> int
 
 (** Target encoding recovered from an address produced by [resolve_h] on the
-    same [pe]: [-1] when the access is to the PE's own window (the [`Local]
-    cases of [resolve]), else the owning PE id ([`Remote owner]). *)
+    same [pe]: [-1] when the access is to the PE's own window, else the
+    owning PE id. *)
 val target_of : handle -> pe:int -> addr:int -> int
+
+(** {1 By-name views (untimed)} *)
+
+(** Address of an element and its location relative to the accessing PE
+    ([resolve_h] plus [target_of]). *)
+val resolve :
+  t -> pe:int -> string -> int array -> int * [ `Local | `Remote of int ]
 
 (** Addresses of an element in {e every} copy (one for distributed arrays,
     [n_pes] for replicated ones) — used by initialization. *)
 val all_copies : t -> string -> int array -> int list
 
-(** Owner-copy address (PE-0 copy for replicated arrays) — used to read
-    results back. *)
+(** Owner-copy address (PE-0 copy for replicated arrays), i.e. [resolve_h]
+    from PE 0 — used to read results back. *)
 val canonical : t -> string -> int array -> int

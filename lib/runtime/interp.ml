@@ -26,13 +26,20 @@ let memo_make cap =
   let cap = max 1 cap in
   { mn = 0; mkeys = Array.make cap 0; mvals = Array.make cap 0.0 }
 
+(* a plain loop: a local recursive scan would be a closure over [keys],
+   [n] and [addr], allocated on every lookup *)
 let memo_index m addr =
   let n = m.mn in
   let keys = m.mkeys in
-  let rec go i = if i >= n then -1 else if keys.(i) = addr then i else go (i + 1) in
-  go 0
+  let i = ref 0 in
+  while !i < n && keys.(!i) <> addr do
+    incr i
+  done;
+  if !i < n then !i else -1
 
-let memo_add m addr v =
+(* Values enter the memo from a [float array] slot ([src.(k)]) rather than
+   as a float argument, which would be boxed at every call. *)
+let memo_add m addr src k =
   (if m.mn = Array.length m.mkeys then begin
      let cap = 2 * m.mn in
      let nk = Array.make cap 0 and nv = Array.make cap 0.0 in
@@ -42,12 +49,42 @@ let memo_add m addr v =
      m.mvals <- nv
    end);
   m.mkeys.(m.mn) <- addr;
-  m.mvals.(m.mn) <- v;
+  m.mvals.(m.mn) <- src.(k);
   m.mn <- m.mn + 1
 
-let memo_put m addr v =
+let memo_put m addr src k =
   let i = memo_index m addr in
-  if i >= 0 then m.mvals.(i) <- v else memo_add m addr v
+  if i >= 0 then m.mvals.(i) <- src.(k) else memo_add m addr src k
+
+(* Float-stack operators: operands sit in [st.(sp)] and [st.(sp + 1)], the
+   result replaces the left one. Add/Sub/Mul/Div and the unary operators
+   are computed inline on unboxed floats; Min/Max (reductions and fuzz
+   programs only) defer to [Fexpr.apply_binop] to keep its NaN and signed-
+   zero semantics. *)
+let binop_at (op : Fexpr.binop) st sp =
+  match op with
+  | Fexpr.Add -> st.(sp) <- st.(sp) +. st.(sp + 1)
+  | Fexpr.Sub -> st.(sp) <- st.(sp) -. st.(sp + 1)
+  | Fexpr.Mul -> st.(sp) <- st.(sp) *. st.(sp + 1)
+  | Fexpr.Div -> st.(sp) <- st.(sp) /. st.(sp + 1)
+  | Fexpr.Min | Fexpr.Max -> st.(sp) <- Fexpr.apply_binop op st.(sp) st.(sp + 1)
+
+let unop_at (op : Fexpr.unop) st sp =
+  match op with
+  | Fexpr.Neg -> st.(sp) <- -.st.(sp)
+  | Fexpr.Sqrt -> st.(sp) <- sqrt st.(sp)
+  | Fexpr.Abs -> st.(sp) <- abs_float st.(sp)
+
+(* [Stmt.eval_fcmp] on the two stack slots, without boxing them *)
+let fcmp_at (op : Stmt.cmp) st =
+  let a = st.(0) and b = st.(1) in
+  match op with
+  | Stmt.Lt -> a < b
+  | Stmt.Le -> a <= b
+  | Stmt.Gt -> a > b
+  | Stmt.Ge -> a >= b
+  | Stmt.Eq -> a = b
+  | Stmt.Ne -> a <> b
 
 (* Per-shard mutable evaluation state: everything the recursive evaluator
    scribbles on besides the per-PE frames and the memory system itself.
@@ -62,6 +99,9 @@ type scratch = {
   mutable s_vaddrs : int array;
       (** the word addresses of the vector get being gathered; grows on
           demand and is reused by every later get *)
+  s_stack : float array;
+      (** float evaluation stack, [Xplan.stack_depth] slots: expression
+          values live here, unboxed, from the memory read to the store *)
 }
 
 (* The closure family built over one scratch: the recursive evaluator
@@ -110,6 +150,8 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) ?pool
      shard (read-only after preparation) *)
   let raccs = Array.map (Memsys.prepare_read sys) xp.Xplan.reads in
   let waccs = Array.map (Memsys.prepare_write sys) xp.Xplan.writes in
+  let rhs = Array.map Memsys.read_handle raccs in
+  let whs = Array.map Memsys.write_handle waccs in
   let scratch_of (r : Reference.t) = Array.make (Array.length r.subs) 0 in
   let make_scratch () =
     {
@@ -119,6 +161,7 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) ?pool
       s_sp_lines =
         Array.map (fun k -> Array.make (max 1 k) min_int) xp.Xplan.sp_counts;
       s_vaddrs = Array.make 8 0;
+      s_stack = Array.make xp.Xplan.stack_depth 0.0;
     }
   in
   let epochs_executed = ref 0 in
@@ -152,7 +195,8 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) ?pool
     let ridx = sc.s_ridx
     and widx = sc.s_widx
     and memos = sc.s_memos
-    and sp_lines = sc.s_sp_lines in
+    and sp_lines = sc.s_sp_lines
+    and stack = sc.s_stack in
     (* evaluate an occurrence's subscripts into its scratch buffer *)
     let eval_subs bufs pe (xr : Xplan.xref) =
     let buf = bufs.(xr.Xplan.xacc) in
@@ -162,43 +206,46 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) ?pool
     done;
     buf
   in
-  let rec eval_f pe memo (e : Xplan.fexpr) =
+  (* evaluate [e] into [stack.(sp)]; an operator's left operand is
+     evaluated first, in place, its right operand one slot above *)
+  let rec eval_f pe memo (e : Xplan.fexpr) sp =
     match e with
-    | Xplan.XConst c -> c
+    | Xplan.XConst c -> stack.(sp) <- c
     | Xplan.XIvar s ->
         if not ibound.(pe).(s) then unbound_var s;
-        float_of_int iframe.(pe).(s)
+        stack.(sp) <- float_of_int iframe.(pe).(s)
     | Xplan.XSvar s ->
         if not fbound.(pe).(s) then unbound_scalar s;
-        fframe.(pe).(s)
+        stack.(sp) <- fframe.(pe).(s)
     | Xplan.XRead xr ->
         (* [memo] models statement-level register reuse: a compiler loads
            each distinct element once per statement, further occurrences
            read the register for free *)
         let idx = eval_subs ridx pe xr in
-        let acc = raccs.(xr.Xplan.xacc) in
-        let addr = Memsys.access_addr sys acc ~pe ~idx in
+        let uid = xr.Xplan.xacc in
+        let addr = Addr_map.resolve_h rhs.(uid) ~pe idx in
         let i = memo_index memo addr in
-        if i >= 0 then memo.mvals.(i)
+        if i >= 0 then stack.(sp) <- memo.mvals.(i)
         else begin
-          let v = Memsys.read_c sys ~pe acc ~idx ~addr in
-          memo_add memo addr v;
-          v
+          Memsys.read_into sys ~pe raccs.(uid) ~idx ~addr stack sp;
+          memo_add memo addr stack sp
         end
-    | Xplan.XUnop (op, a) -> Fexpr.apply_unop op (eval_f pe memo a)
+    | Xplan.XUnop (op, a) ->
+        eval_f pe memo a sp;
+        unop_at op stack sp
     | Xplan.XBinop (op, a, b) ->
-        let x = eval_f pe memo a in
-        let y = eval_f pe memo b in
-        Fexpr.apply_binop op x y
+        eval_f pe memo a sp;
+        eval_f pe memo b (sp + 1);
+        binop_at op stack sp
   in
   let eval_cond pe memo = function
     | Xplan.XIcond (op, a, b) ->
         Stmt.eval_cmp op (eval_aff pe a) (eval_aff pe b)
     | Xplan.XFcond (op, a, b) ->
         Memsys.charge sys ~pe cfg.Config.flop;
-        let x = eval_f pe memo a in
-        let y = eval_f pe memo b in
-        Stmt.eval_fcmp op x y
+        eval_f pe memo a 0;
+        eval_f pe memo b 1;
+        fcmp_at op stack
   in
   (* Issue one software-pipelined prefetch for a future iteration of one
      reference. With [every > 1] the compiler strip-mined the issue to one
@@ -217,8 +264,9 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) ?pool
       let idx = eval_subs ridx pe sp.Xplan.sp_ref in
       iframe.(pe).(var) <- sv;
       ibound.(pe).(var) <- sb;
-      let acc = raccs.(sp.Xplan.sp_ref.Xplan.xacc) in
-      let addr = Memsys.access_addr sys acc ~pe ~idx in
+      let uid = sp.Xplan.sp_ref.Xplan.xacc in
+      let acc = raccs.(uid) in
+      let addr = Addr_map.resolve_h rhs.(uid) ~pe idx in
       if sp.Xplan.sp_every <= 1 then
         Memsys.pf_issue_c ~skip_cached:sp.Xplan.sp_clean sys ~pe acc ~addr
       else begin
@@ -231,9 +279,9 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) ?pool
       end
     end
   in
-  (* append the addresses of one iteration's vector members, resolved
-     through the group's access, at position [k]; returns the new count *)
-  let gather pe acc (members : Xplan.xref array) (k : int) =
+  (* append the addresses of one iteration's vector members at position
+     [k]; returns the new count *)
+  let gather pe (members : Xplan.xref array) (k : int) =
     let need = k + Array.length members in
     if need > Array.length sc.s_vaddrs then begin
       let nb = Array.make (max need (2 * Array.length sc.s_vaddrs)) 0 in
@@ -242,8 +290,9 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) ?pool
     end;
     let buf = sc.s_vaddrs in
     for j = 0 to Array.length members - 1 do
-      let idx = eval_subs ridx pe members.(j) in
-      buf.(k + j) <- Memsys.access_addr sys acc ~pe ~idx
+      let m = members.(j) in
+      let idx = eval_subs ridx pe m in
+      buf.(k + j) <- Addr_map.resolve_h rhs.(m.Xplan.xacc) ~pe idx
     done;
     need
   in
@@ -263,7 +312,7 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) ?pool
         fr.(var) <- !v;
         bd.(var) <- true;
         (match vec.Xplan.v_inner with
-        | None -> n := gather pe acc members !n
+        | None -> n := gather pe members !n
         | Some il ->
             let ifirst = eval_bound pe il.Xplan.l_lo in
             let ilast = eval_bound pe il.Xplan.l_hi in
@@ -274,7 +323,7 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) ?pool
             while if istep > 0 then !w <= ilast else !w >= ilast do
               fr.(ivar) <- !w;
               bd.(ivar) <- true;
-              n := gather pe acc members !n;
+              n := gather pe members !n;
               w := !w + istep
             done;
             fr.(ivar) <- isv;
@@ -338,16 +387,17 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) ?pool
     match s with
     | Xplan.XAssign { xflops; dst; src } ->
         Memsys.charge sys ~pe (xflops * cfg.Config.flop);
-        let v = eval_f pe memo src in
+        eval_f pe memo src 0;
         let idx = eval_subs widx pe dst in
-        let wa = waccs.(dst.Xplan.xacc) in
-        let addr = Memsys.write_addr sys wa ~pe ~idx in
-        Memsys.write_c sys ~pe wa ~addr v;
+        let uid = dst.Xplan.xacc in
+        let addr = Addr_map.resolve_h whs.(uid) ~pe idx in
+        Memsys.write_from sys ~pe waccs.(uid) ~addr stack 0;
         (* keep the register copy coherent with the store *)
-        memo_put memo addr v
+        memo_put memo addr stack 0
     | Xplan.XSassign { xflops; slot; src } ->
         Memsys.charge sys ~pe (xflops * cfg.Config.flop);
-        fframe.(pe).(slot) <- eval_f pe memo src;
+        eval_f pe memo src 0;
+        fframe.(pe).(slot) <- stack.(0);
         fbound.(pe).(slot) <- true
     | Xplan.XIf (c, tb, eb) ->
         if eval_cond pe memo c then exec_block pe memo tb
@@ -362,12 +412,18 @@ let run cfg ?(oracle = false) ?(sabotage = Memsys.No_fault) ?pool
         Memsys.lock_release sys ~pe xc_lock
     | Xplan.XReduce { xflops; slot; rop; src } ->
         Memsys.charge sys ~pe (xflops * cfg.Config.flop);
-        let v = eval_f pe memo src in
+        eval_f pe memo src 0;
         let fr = fframe.(pe) and fb = fbound.(pe) in
-        if fb.(slot) then fr.(slot) <- Fexpr.apply_binop rop fr.(slot) v
+        if fb.(slot) then begin
+          (* partial (op) contribution, on the stack *)
+          stack.(1) <- stack.(0);
+          stack.(0) <- fr.(slot);
+          binop_at rop stack 0;
+          fr.(slot) <- stack.(0)
+        end
         else begin
           (* first contribution seeds the partial *)
-          fr.(slot) <- v;
+          fr.(slot) <- stack.(0);
           fb.(slot) <- true
         end
     in

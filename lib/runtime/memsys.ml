@@ -137,6 +137,9 @@ type pe_ctx = {
   mutable pviol : violation list;  (** staged witnesses, newest first *)
   pobs : (int, unit) Hashtbl.t;  (** staged INCOHERENT observed-stale ids *)
   fbuf : float array;  (** scratch line for patched buffered fills *)
+  one : float array;
+      (** one-word scratch through which the by-name {!read}/{!write}
+          pass their value to the destination-passing protocol *)
   vbuf : int array;  (** scratch version line for patched buffered fills *)
 }
 
@@ -201,6 +204,10 @@ type t = {
       (** the program contains critical sections: locked bypass reads
           observe other PEs' current-epoch writes through [mem], so DOALL
           epochs must replay serially (see {!shardable}) *)
+  mutable snoop_wb : int;
+      (** write-back penalty found by the latest snoop phase: an
+          out-field beside the returned copy count, so a snoop allocates
+          no tuple (snooping modes replay serially, never sharded) *)
 }
 
 let create cfg ?(oracle = false) ?(sabotage = No_fault) (p : Program.t) ~plan
@@ -292,6 +299,7 @@ let create cfg ?(oracle = false) ?(sabotage = No_fault) (p : Program.t) ~plan
             vbuf =
               (if buffered && oracle then Array.make cfg.Config.line_words 0
                else [||]);
+            one = [| 0.0 |];
           });
     decls;
     handles = Hashtbl.create 16;
@@ -317,6 +325,7 @@ let create cfg ?(oracle = false) ?(sabotage = No_fault) (p : Program.t) ~plan
     wstamp = (if buffered then Array.make words min_int else [||]);
     locks = Hashtbl.create 4;
     has_sync;
+    snoop_wb = 0;
   }
 
 let cfg t = t.cfg
@@ -350,6 +359,7 @@ let set t name idx v =
     (Addr_map.all_copies t.amap name idx)
 
 let get t name idx = t.mem.(Addr_map.canonical t.amap name idx)
+let memory t = t.mem
 let charge t ~pe c =
   let ctx = t.ctxs.(pe) in
   ctx.pe.Pe.stats.Stats.flop_cycles <- ctx.pe.Pe.stats.Stats.flop_cycles + c;
@@ -432,10 +442,10 @@ let contend t ctx tgt ~now ~lines =
     || Net.same_cluster t.net ctx.pe.Pe.id tgt
   then 0
   else begin
-    let delay, depth =
-      Net.acquire t.net ~dst:tgt ~now
-        ~hold:(t.cfg.Config.link_occ * lines)
+    let delay =
+      Net.acquire t.net ~dst:tgt ~now ~hold:(t.cfg.Config.link_occ * lines)
     in
+    let depth = Net.last_depth t.net in
     let s = ctx.pe.Pe.stats in
     if delay > 0 then
       s.Stats.link_conflicts <- s.Stats.link_conflicts + 1;
@@ -455,7 +465,7 @@ let store_cost t ~pe tgt =
 let bus_acquire t ctx ~lines =
   if t.cfg.Config.bus_occ = 0 then 0
   else begin
-    let delay, _depth =
+    let delay =
       Net.acquire_bus t.net ~now:ctx.pe.Pe.clock ~since:ctx.epoch_start
         ~hold:(t.cfg.Config.bus_occ * lines)
     in
@@ -473,7 +483,7 @@ let bus_acquire t ctx ~lines =
 let cluster_bus_acquire t ctx ~lines =
   if t.cfg.Config.bus_occ = 0 then 0
   else begin
-    let delay, _depth =
+    let delay =
       Net.acquire_cluster_bus t.net
         ~cluster:(Net.cluster_of t.net ctx.pe.Pe.id)
         ~now:ctx.pe.Pe.clock ~since:ctx.epoch_start
@@ -537,7 +547,7 @@ let buffered_fill ~state t ctx line =
   done;
   if not !own then
     Cache.fill_from ctx.pe.Pe.cache ~tick:t.epoch_tick ~state ~vers:t.wv ~line
-      ~src:t.shadow ~pos ()
+      ~src:t.shadow ~pos
   else begin
     (* patch the PE's own writes over the shadow in a scratch line; the
        captured versions come from the same position, so they are staged
@@ -554,23 +564,22 @@ let buffered_fill ~state t ctx line =
       end
     in
     Cache.fill_from ctx.pe.Pe.cache ~tick:t.epoch_tick ~state ~vers ~line
-      ~src:ctx.fbuf ~pos:0 ()
+      ~src:ctx.fbuf ~pos:0
   end
 
-(* The value an access observes for [addr] right after its line filled:
-   under buffering, own same-epoch writes from memory, everything else
-   from the shadow the fill actually delivered. *)
-let filled_value t ctx addr =
-  if not t.buffered then t.mem.(addr)
-  else if t.wstamp.(addr) = stamp_of t ctx.pe.Pe.id then t.mem.(addr)
-  else t.shadow.(addr)
+(* The memory image an access observes for [addr] right after its line
+   filled: under buffering, own same-epoch writes from memory, everything
+   else from the shadow the fill actually delivered. *)
+let filled_image t ctx addr =
+  if (not t.buffered) || t.wstamp.(addr) = stamp_of t ctx.pe.Pe.id then t.mem
+  else t.shadow
 
-let fill ?(state = 1 (* Coherence.shared *)) t ctx line =
+let fill ~state t ctx line =
   if t.buffered then buffered_fill ~state t ctx line
   else
     Cache.fill_from ctx.pe.Pe.cache ~tick:t.epoch_tick ~state ~vers:t.wv ~line
       ~src:t.mem
-      ~pos:(line * t.cfg.Config.line_words) ();
+      ~pos:(line * t.cfg.Config.line_words);
   (match t.hw with
   | Hw_none -> ()
   | Hw_snoop _ | Hw_cluster ->
@@ -609,9 +618,8 @@ let oracle_check t ctx (r : Reference.t) idx addr =
   | None -> ()
   | Some o ->
       let cv =
-        match Cache.word_version ctx.pe.Pe.cache ~addr with
-        | Some v -> v
-        | None -> 0
+        let v = Cache.word_version ctx.pe.Pe.cache ~addr in
+        if v < 0 then 0 else v
       in
       (* Mini-epoch refinement: under buffering a cached copy can never
          contain another PE's current-epoch write (fills observe the
@@ -705,6 +713,11 @@ let vget_consume ctx line lw =
   Int_table.remove ctx.vstamp line;
   ctx.vget_words <- ctx.vget_words - lw
 
+(* Every read protocol below is destination-passing: the value read is
+   stored into [dst.(k)] instead of returned, since a float returned from
+   (or passed to) a function that is not inlined is boxed, and without
+   cross-module inlining none of these are. *)
+
 (* The ordinary cached-read protocol: consume a pending vector-get or queue
    entry if one exists, then the cache, then demand-fetch. [fresh_only]
    restricts cache hits to lines filled since the last barrier (used for
@@ -713,8 +726,8 @@ let vget_consume ctx line lw =
    reads, whose cache hits the oracle asserts over ([r], [idx] identify the
    dynamic reference in the report). Ready cycles are never negative, so
    [-1] stands for "not staged". *)
-let cached_read ?(fresh_only = false) ?(track = false) t ctx (r : Reference.t)
-    idx addr tgt =
+let cached_read ~fresh_only ~track t ctx (r : Reference.t) idx addr tgt dst
+    k =
   let self = ctx.pe.Pe.id in
   let lw = t.cfg.Config.line_words in
   let line = addr / lw in
@@ -724,8 +737,8 @@ let cached_read ?(fresh_only = false) ?(track = false) t ctx (r : Reference.t)
     vget_consume ctx line lw;
     record_arrival ctx ~stall;
     Pe.advance ctx.pe (stall + t.cfg.Config.hit);
-    fill t ctx line;
-    filled_value t ctx addr
+    fill ~state:Coherence.shared t ctx line;
+    dst.(k) <- (filled_image t ctx addr).(addr)
   end
   else
     let qready = Prefetch_queue.ready_of ctx.pe.Pe.queue ~line in
@@ -734,8 +747,8 @@ let cached_read ?(fresh_only = false) ?(track = false) t ctx (r : Reference.t)
       Prefetch_queue.remove ctx.pe.Pe.queue ~line;
       record_arrival ctx ~stall;
       Pe.advance ctx.pe (stall + t.cfg.Config.pf_extract);
-      fill t ctx line;
-      filled_value t ctx addr
+      fill ~state:Coherence.shared t ctx line;
+      dst.(k) <- (filled_image t ctx addr).(addr)
     end
     else
       let off =
@@ -746,7 +759,7 @@ let cached_read ?(fresh_only = false) ?(track = false) t ctx (r : Reference.t)
         if track then oracle_check t ctx r idx addr;
         ctx.pe.Pe.stats.Stats.hits <- ctx.pe.Pe.stats.Stats.hits + 1;
         Pe.advance ctx.pe t.cfg.Config.hit;
-        Cache.data_at ctx.pe.Pe.cache off
+        Cache.copy_word ctx.pe.Pe.cache off dst k
       end
       else begin
         (let s = ctx.pe.Pe.stats in
@@ -755,29 +768,29 @@ let cached_read ?(fresh_only = false) ?(track = false) t ctx (r : Reference.t)
         let ac = annex_cost t ctx tgt in
         let delay = contend t ctx tgt ~now:ctx.pe.Pe.clock ~lines:1 in
         Pe.advance ctx.pe (ac + latency_of t ~pe:self tgt + delay);
-        fill t ctx line;
-        filled_value t ctx addr
+        fill ~state:Coherence.shared t ctx line;
+        dst.(k) <- (filled_image t ctx addr).(addr)
       end
 
-let uncached_read t ctx addr tgt =
+let uncached_read t ctx addr tgt dst k =
   (let s = ctx.pe.Pe.stats in
    if tgt < 0 then s.Stats.uncached_local <- s.Stats.uncached_local + 1
    else s.Stats.uncached_remote <- s.Stats.uncached_remote + 1);
   let ac = annex_cost t ctx tgt in
   let delay = contend t ctx tgt ~now:ctx.pe.Pe.clock ~lines:1 in
   Pe.advance ctx.pe (ac + uncached_latency_of t ~pe:ctx.pe.Pe.id tgt + delay);
-  t.mem.(addr)
+  dst.(k) <- t.mem.(addr)
 
-let bypass_read t ctx addr tgt =
+let bypass_read t ctx addr tgt dst k =
   ctx.pe.Pe.stats.Stats.bypass_reads <- ctx.pe.Pe.stats.Stats.bypass_reads + 1;
   let ac = annex_cost t ctx tgt in
   let delay = contend t ctx tgt ~now:ctx.pe.Pe.clock ~lines:1 in
   Pe.advance ctx.pe (ac + uncached_latency_of t ~pe:ctx.pe.Pe.id tgt + delay);
-  t.mem.(addr)
+  dst.(k) <- t.mem.(addr)
 
 (* A moved-back prefetch: the issue happened [back] cycles ago (clamped to
    the epoch start), so the reader only stalls for the residual latency. *)
-let moved_back_read t ctx addr tgt ~back =
+let moved_back_read t ctx addr tgt ~back dst k =
   let s = ctx.pe.Pe.stats in
   s.Stats.pf_issued <- s.Stats.pf_issued + 1;
   let lw = t.cfg.Config.line_words in
@@ -791,8 +804,8 @@ let moved_back_read t ctx addr tgt ~back =
     (annex_cost t ctx tgt + t.cfg.Config.pf_issue + t.cfg.Config.pf_extract
    + stall);
   Cache.invalidate_line ctx.pe.Pe.cache ~line;
-  fill t ctx line;
-  filled_value t ctx addr
+  fill ~state:Coherence.shared t ctx line;
+  dst.(k) <- (filled_image t ctx addr).(addr)
 
 (* ------------------------------------------------------------------ *)
 (* Public protocol                                                     *)
@@ -828,7 +841,7 @@ let version_record t name =
    matters: a line filled in the same epoch as another PE's write to it may
    have captured pre-write words (false sharing at epoch granularity); own
    writes are exempt, since memory was not changed by anyone else. *)
-let hscd_read ver t ctx (r : Reference.t) idx addr tgt =
+let hscd_read ver t ctx (r : Reference.t) idx addr tgt dst k =
   let lw = t.cfg.Config.line_words in
   let line = addr / lw in
   let effective =
@@ -838,13 +851,14 @@ let hscd_read ver t ctx (r : Reference.t) idx addr tgt =
         if v.writers = 0 || v.writers = writer_bit ctx.pe.Pe.id then v.settled
         else t.epoch_tick
   in
-  (match Cache.fill_tick ctx.pe.Pe.cache ~line with
-  | Some ft when ft <= effective ->
-      Cache.invalidate_line ctx.pe.Pe.cache ~line;
-      ctx.pe.Pe.stats.Stats.invalidations <-
-        ctx.pe.Pe.stats.Stats.invalidations + 1
-  | Some _ | None -> ());
-  cached_read ~track:true t ctx r idx addr tgt
+  (* fill ticks are never negative; -1 is a miss *)
+  let ft = Cache.fill_tick ctx.pe.Pe.cache ~line in
+  if ft >= 0 && ft <= effective then begin
+    Cache.invalidate_line ctx.pe.Pe.cache ~line;
+    ctx.pe.Pe.stats.Stats.invalidations <-
+      ctx.pe.Pe.stats.Stats.invalidations + 1
+  end;
+  cached_read ~fresh_only:false ~track:true t ctx r idx addr tgt dst k
 
 (* ------------------------------------------------------------------ *)
 (* Hardware-coherence rivals: MSI/MESI bus snooping and the full-map
@@ -860,8 +874,9 @@ let hscd_read ver t ctx (r : Reference.t) idx addr tgt =
 (* Snoop phase of a bus transaction: probe every other cache. A read
    transaction ([invalidate = false]) downgrades E/M holders to S — a
    Modified holder first flushes, and the requester pays that flush. A
-   write/upgrade transaction invalidates every remote copy. Returns
-   (copies found, write-back penalty). Under [Drop_invalidate] sabotage
+   write/upgrade transaction invalidates every remote copy. Returns the
+   copies found and leaves the write-back penalty in [t.snoop_wb]. Under
+   [Drop_invalidate] sabotage
    the first copy an invalidation should kill survives — with identical
    accounting, which is exactly why only the staleness oracle (or the
    numerics) can witness the fault. *)
@@ -888,16 +903,17 @@ let snoop_others t ~self ~line ~invalidate =
       end
     end
   done;
-  (!copies, !wb)
+  t.snoop_wb <- !wb;
+  !copies
 
-let snoop_read mesi t ctx (r : Reference.t) idx addr tgt =
+let snoop_read mesi t ctx (r : Reference.t) idx addr tgt dst k =
   let off = Cache.locate ctx.pe.Pe.cache ~addr in
   if off >= 0 then begin
     (* any valid state (S/E/M) may be read locally, no bus transaction *)
     oracle_check t ctx r idx addr;
     ctx.pe.Pe.stats.Stats.hits <- ctx.pe.Pe.stats.Stats.hits + 1;
     Pe.advance ctx.pe t.cfg.Config.hit;
-    Cache.data_at ctx.pe.Pe.cache off
+    Cache.copy_word ctx.pe.Pe.cache off dst k
   end
   else begin
     let self = ctx.pe.Pe.id in
@@ -907,7 +923,8 @@ let snoop_read mesi t ctx (r : Reference.t) idx addr tgt =
      else s.Stats.miss_remote <- s.Stats.miss_remote + 1);
     let ac = annex_cost t ctx tgt in
     let bus = bus_acquire t ctx ~lines:1 in
-    let copies, wb = snoop_others t ~self ~line ~invalidate:false in
+    let copies = snoop_others t ~self ~line ~invalidate:false in
+    let wb = t.snoop_wb in
     let delay = contend t ctx tgt ~now:ctx.pe.Pe.clock ~lines:1 in
     Pe.advance ctx.pe (ac + bus + latency_of t ~pe:self tgt + delay + wb);
     (* MESI's one edge over MSI: a miss nobody else holds fills Exclusive,
@@ -916,7 +933,7 @@ let snoop_read mesi t ctx (r : Reference.t) idx addr tgt =
       if mesi && copies = 0 then Coherence.exclusive else Coherence.shared
     in
     fill ~state t ctx line;
-    t.mem.(addr)
+    dst.(k) <- t.mem.(addr)
   end
 
 let snoop_write mesi t ctx wh ~addr =
@@ -934,7 +951,8 @@ let snoop_write mesi t ctx wh ~addr =
     let tgt = Addr_map.target_of wh ~pe:self ~addr in
     let s = ctx.pe.Pe.stats in
     let bus = bus_acquire t ctx ~lines:1 in
-    let others, wb = snoop_others t ~self ~line ~invalidate:true in
+    let others = snoop_others t ~self ~line ~invalidate:true in
+    let wb = t.snoop_wb in
     s.Stats.invalidations <- s.Stats.invalidations + others;
     if st <> Coherence.invalid then begin
       (* S -> M upgrade: an ownership broadcast, no data transfer *)
@@ -951,13 +969,13 @@ let snoop_write mesi t ctx wh ~addr =
     end
   end
 
-let dir_read d t ctx (r : Reference.t) idx addr tgt =
+let dir_read d t ctx (r : Reference.t) idx addr tgt dst k =
   let off = Cache.locate ctx.pe.Pe.cache ~addr in
   if off >= 0 then begin
     oracle_check t ctx r idx addr;
     ctx.pe.Pe.stats.Stats.hits <- ctx.pe.Pe.stats.Stats.hits + 1;
     Pe.advance ctx.pe t.cfg.Config.hit;
-    Cache.data_at ctx.pe.Pe.cache off
+    Cache.copy_word ctx.pe.Pe.cache off dst k
   end
   else begin
     let self = ctx.pe.Pe.id in
@@ -991,8 +1009,8 @@ let dir_read d t ctx (r : Reference.t) idx addr tgt =
     in
     let delay = contend t ctx tgt ~now:ctx.pe.Pe.clock ~lines:1 in
     Pe.advance ctx.pe (ac + latency_of t ~pe:self tgt + delay + extra);
-    fill t ctx line;
-    t.mem.(addr)
+    fill ~state:Coherence.shared t ctx line;
+    dst.(k) <- t.mem.(addr)
   end
 
 let dir_write d t ctx wh ~addr =
@@ -1018,21 +1036,25 @@ let dir_write d t ctx wh ~addr =
        bitset instead — its stale copy survives, unrecorded. *)
     let max_hop = ref 0 and invs = ref 0 in
     let skip = ref (t.sab = Corrupt_presence) in
-    Coherence.Dir.iter_sharers d ~line (fun p ->
-        if p <> self then begin
-          Coherence.Dir.remove d ~line ~pe:p;
-          if !skip then begin
-            skip := false;
-            t.sab_fired <- true
-          end
-          else begin
-            Cache.invalidate_line t.ctxs.(p).pe.Pe.cache ~line;
-            incr invs;
-            s.Stats.dir_msgs <- s.Stats.dir_msgs + 1;
-            let h = Net.cost t.net ~src:home ~dst:p in
-            if h > !max_hop then max_hop := h
-          end
-        end);
+    let p = ref (Coherence.Dir.next_sharer d ~line ~from:0) in
+    while !p >= 0 do
+      let q = !p in
+      if q <> self then begin
+        Coherence.Dir.remove d ~line ~pe:q;
+        if !skip then begin
+          skip := false;
+          t.sab_fired <- true
+        end
+        else begin
+          Cache.invalidate_line t.ctxs.(q).pe.Pe.cache ~line;
+          incr invs;
+          s.Stats.dir_msgs <- s.Stats.dir_msgs + 1;
+          let h = Net.cost t.net ~src:home ~dst:q in
+          if h > !max_hop then max_hop := h
+        end
+      end;
+      p := Coherence.Dir.next_sharer d ~line ~from:(q + 1)
+    done;
     s.Stats.invalidations <- s.Stats.invalidations + !invs;
     if st = Coherence.shared then s.Stats.upgrades <- s.Stats.upgrades + 1;
     let ack = 2 * !max_hop in
@@ -1091,7 +1113,8 @@ let snoop_cluster t ~cluster ~self ~line ~invalidate ~sab =
       end
     end
   done;
-  (!copies, !wb)
+  t.snoop_wb <- !wb;
+  !copies
 
 (* Intra-cluster read: MESI over the island. Reaches only addresses homed
    in the requester's island (or locally), so the latency model charges
@@ -1099,7 +1122,7 @@ let snoop_cluster t ~cluster ~self ~line ~invalidate ~sab =
    bus. Every call is an access the flat machine would have sent across
    the interconnect under the stale discipline — counted as a cluster
    hit. *)
-let cluster_read t ctx (r : Reference.t) idx addr tgt =
+let cluster_read t ctx (r : Reference.t) idx addr tgt dst k =
   let s = ctx.pe.Pe.stats in
   s.Stats.cluster_hits <- s.Stats.cluster_hits + 1;
   let off = Cache.locate ctx.pe.Pe.cache ~addr in
@@ -1107,7 +1130,7 @@ let cluster_read t ctx (r : Reference.t) idx addr tgt =
     oracle_check t ctx r idx addr;
     s.Stats.hits <- s.Stats.hits + 1;
     Pe.advance ctx.pe t.cfg.Config.hit;
-    Cache.data_at ctx.pe.Pe.cache off
+    Cache.copy_word ctx.pe.Pe.cache off dst k
   end
   else begin
     let self = ctx.pe.Pe.id in
@@ -1116,18 +1139,19 @@ let cluster_read t ctx (r : Reference.t) idx addr tgt =
     else s.Stats.miss_remote <- s.Stats.miss_remote + 1;
     let ac = annex_cost t ctx tgt in
     let bus = cluster_bus_acquire t ctx ~lines:1 in
-    let copies, wb =
+    let copies =
       snoop_cluster t
         ~cluster:(Net.cluster_of t.net self)
         ~self ~line ~invalidate:false ~sab:false
     in
+    let wb = t.snoop_wb in
     Pe.advance ctx.pe (ac + bus + latency_of t ~pe:self tgt + wb);
     (* island-exclusive fill when no island sibling holds a copy *)
     let state =
       if copies = 0 then Coherence.exclusive else Coherence.shared
     in
     fill ~state t ctx line;
-    t.mem.(addr)
+    dst.(k) <- t.mem.(addr)
   end
 
 (* Clustered write: snoop the writer's own island on every tracked write,
@@ -1157,15 +1181,17 @@ let cluster_write t ctx wh ~addr =
   let my_cluster = Net.cluster_of t.net self in
   let home_cluster = Net.cluster_of t.net home in
   let bus = cluster_bus_acquire t ctx ~lines:1 in
-  let own, wb_own =
+  let own =
     snoop_cluster t ~cluster:my_cluster ~self ~line ~invalidate:true ~sab:false
   in
-  let inter, wb_home =
-    if home_cluster = my_cluster then (0, 0)
+  let wb_own = t.snoop_wb in
+  let inter =
+    if home_cluster = my_cluster then 0
     else
       snoop_cluster t ~cluster:home_cluster ~self ~line ~invalidate:true
         ~sab:(t.sab = Drop_inter_cluster_invalidate)
   in
+  let wb_home = if home_cluster = my_cluster then 0 else t.snoop_wb in
   s.Stats.invalidations <- s.Stats.invalidations + own + inter;
   (let st = Cache.line_state c ~line in
    if st = Coherence.shared || st = Coherence.exclusive then begin
@@ -1237,29 +1263,30 @@ let route_of t (r : Reference.t) =
     | Ccdp -> ccdp_route t r
     | Clustered -> RCluster (ccdp_route t r)
 
-let rec dispatch_read t ctx (r : Reference.t) ~idx ~addr ~tgt ~ver route =
+let rec dispatch_read t ctx (r : Reference.t) ~idx ~addr ~tgt ~ver route
+    dst k =
   match route with
-  | RPrivate -> cached_read t ctx r idx addr (-1)
-  | RPlain -> cached_read ~track:true t ctx r idx addr tgt
+  | RPrivate ->
+      cached_read ~fresh_only:false ~track:false t ctx r idx addr (-1) dst k
+  | RPlain -> cached_read ~fresh_only:false ~track:true t ctx r idx addr tgt dst k
   | RIncoherent ->
       (* ground-truth staleness detection: an incoherent read that returns a
          value other than the one settled for this epoch has observed an
-         actually-stale copy. [filled_value] is memory itself when
+         actually-stale copy. [filled_image] is memory itself when
          unbuffered; under buffering it is the epoch-deterministic settled
          value (own writes from memory, the rest from the barrier shadow),
          staged per-PE and merged at the barrier. *)
-      let v = cached_read ~track:true t ctx r idx addr tgt in
-      if v <> filled_value t ctx addr then
+      cached_read ~fresh_only:false ~track:true t ctx r idx addr tgt dst k;
+      if dst.(k) <> (filled_image t ctx addr).(addr) then
         if t.buffered then Hashtbl.replace ctx.pobs r.id ()
-        else Hashtbl.replace t.observed_stale r.id ();
-      v
-  | RHscd -> hscd_read ver t ctx r idx addr tgt
-  | RSnoop mesi -> snoop_read mesi t ctx r idx addr tgt
-  | RDir d -> dir_read d t ctx r idx addr tgt
-  | RUncached -> uncached_read t ctx addr tgt
-  | RCovered -> cached_read ~fresh_only:true ~track:true t ctx r idx addr tgt
-  | RBypass -> bypass_read t ctx addr tgt
-  | RBack back -> moved_back_read t ctx addr tgt ~back
+        else Hashtbl.replace t.observed_stale r.id ()
+  | RHscd -> hscd_read ver t ctx r idx addr tgt dst k
+  | RSnoop mesi -> snoop_read mesi t ctx r idx addr tgt dst k
+  | RDir d -> dir_read d t ctx r idx addr tgt dst k
+  | RUncached -> uncached_read t ctx addr tgt dst k
+  | RCovered -> cached_read ~fresh_only:true ~track:true t ctx r idx addr tgt dst k
+  | RBypass -> bypass_read t ctx addr tgt dst k
+  | RBack back -> moved_back_read t ctx addr tgt ~back dst k
   | RLeadStaged ->
       (* the prefetch machinery must have staged the line: pending entries
          are consumed by the normal path; a fresh cached line is a earlier
@@ -1269,17 +1296,17 @@ let rec dispatch_read t ctx (r : Reference.t) ~idx ~addr ~tgt ~ver route =
         Int_table.mem ctx.vget line
         || Prefetch_queue.ready_of ctx.pe.Pe.queue ~line >= 0
         || Int_table.mem ctx.fresh line
-      then cached_read ~fresh_only:true ~track:true t ctx r idx addr tgt
-      else bypass_read t ctx addr tgt
+      then cached_read ~fresh_only:true ~track:true t ctx r idx addr tgt dst k
+      else bypass_read t ctx addr tgt dst k
   | RCluster inner ->
       (* resolved per access: island-homed data runs the island protocol,
          everything else falls through to the compiled CCDP route *)
       if tgt < 0 || Net.same_cluster t.net ctx.pe.Pe.id tgt then
-        cluster_read t ctx r idx addr tgt
+        cluster_read t ctx r idx addr tgt dst k
       else begin
         let s = ctx.pe.Pe.stats in
         s.Stats.cluster_inter <- s.Stats.cluster_inter + 1;
-        dispatch_read t ctx r ~idx ~addr ~tgt ~ver inner
+        dispatch_read t ctx r ~idx ~addr ~tgt ~ver inner dst k
       end
 
 let read t ~pe (r : Reference.t) ~idx =
@@ -1289,11 +1316,12 @@ let read t ~pe (r : Reference.t) ~idx =
   let addr = Addr_map.resolve_h h ~pe idx in
   let tgt = Addr_map.target_of h ~pe ~addr in
   let ver = if t.md = Hscd then Hashtbl.find_opt t.versions r.array_name else None in
-  dispatch_read t ctx r ~idx ~addr ~tgt ~ver (route_of t r)
+  dispatch_read t ctx r ~idx ~addr ~tgt ~ver (route_of t r) ctx.one 0;
+  ctx.one.(0)
 
 (* ------------------------------------------------------------------ *)
 (* Prepared accesses: the compiled-plan interpreter resolves the route,
-   address handle and version record once per static reference, leaving
+   address kernel and version record once per static reference, leaving
    pure arithmetic plus the protocol itself on the per-access path.        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1307,7 +1335,7 @@ type raccess = {
 let prepare_read t (r : Reference.t) =
   {
     ar = r;
-    ah = handle_of t r.array_name;
+    ah = Addr_map.handle t.amap ~loc:r.loc r.array_name;
     aroute = route_of t r;
     aver =
       (if t.md = Hscd && tracked_shared t r.array_name then
@@ -1315,14 +1343,14 @@ let prepare_read t (r : Reference.t) =
        else None);
   }
 
-let access_addr _t acc ~pe ~idx = Addr_map.resolve_h acc.ah ~pe idx
+let read_handle acc = acc.ah
 
-let read_c t ~pe acc ~idx ~addr =
+let read_into t ~pe acc ~idx ~addr dst k =
   let ctx = t.ctxs.(pe) in
   ctx.pe.Pe.stats.Stats.reads <- ctx.pe.Pe.stats.Stats.reads + 1;
   dispatch_read t ctx acc.ar ~idx ~addr
     ~tgt:(Addr_map.target_of acc.ah ~pe ~addr)
-    ~ver:acc.aver acc.aroute
+    ~ver:acc.aver acc.aroute dst k
 
 (* The write protocol a tracked store executes, resolved once per static
    reference like the read route. [Wplain] is the established write-through
@@ -1341,10 +1369,10 @@ type waccess = {
   wproto : wproto;
 }
 
-let prepare_write t (r : Reference.t) =
+let prepare_write_h t (r : Reference.t) wh =
   let tracked = tracked_shared t r.array_name in
   {
-    wh = handle_of t r.array_name;
+    wh;
     wtracked = tracked;
     wcaches = ((not tracked) || match t.md with Base -> false | _ -> true);
     wver =
@@ -1360,7 +1388,10 @@ let prepare_write t (r : Reference.t) =
          | Hw_cluster -> Wcluster);
   }
 
-let write_addr _t wa ~pe ~idx = Addr_map.resolve_h wa.wh ~pe idx
+let prepare_write t (r : Reference.t) =
+  prepare_write_h t r (Addr_map.handle t.amap ~loc:r.loc r.array_name)
+
+let write_handle wa = wa.wh
 
 let wlog_push ctx addr =
   let cap = Array.length ctx.wbuf in
@@ -1372,10 +1403,11 @@ let wlog_push ctx addr =
   ctx.wbuf.(ctx.wn) <- addr;
   ctx.wn <- ctx.wn + 1
 
-let write_c t ~pe wa ~addr v =
+let write_from t ~pe wa ~addr src k =
   let ctx = t.ctxs.(pe) in
   ctx.pe.Pe.stats.Stats.writes <- ctx.pe.Pe.stats.Stats.writes + 1;
-  t.mem.(addr) <- v;
+  t.mem.(addr) <- src.(k);
+  (* the version the writer's cached copy is stamped with; -1 leaves it *)
   let ver =
     if t.buffered then begin
       (* stamp + log; oracle version assignment and the shadow update are
@@ -1384,22 +1416,22 @@ let write_c t ~pe wa ~addr v =
          its version patched at the drain, once the version exists. *)
       t.wstamp.(addr) <- stamp_of t pe;
       wlog_push ctx addr;
-      None
+      -1
     end
     else
       match t.ora with
-      | None -> None
+      | None -> -1
       | Some o ->
           o.next_ver <- o.next_ver + 1;
           o.wver.(addr) <- o.next_ver;
           o.wepoch.(addr) <- t.epoch_tick;
           o.wpe.(addr) <- pe;
-          Some o.next_ver
+          o.next_ver
   in
   (match wa.wver with
   | Some vr -> vr.writers <- vr.writers lor writer_bit pe
   | None -> ());
-  if wa.wcaches then Cache.update_if_present ctx.pe.Pe.cache ?ver ~addr v;
+  if wa.wcaches then Cache.update_from ctx.pe.Pe.cache ~ver ~addr src k;
   match wa.wproto with
   | Wplain ->
       Pe.advance ctx.pe
@@ -1411,9 +1443,11 @@ let write_c t ~pe wa ~addr v =
   | Wcluster -> cluster_write t ctx wa.wh ~addr
 
 let write t ~pe (r : Reference.t) ~idx v =
-  let wa = prepare_write t r in
+  let wa = prepare_write_h t r (handle_of t r.array_name) in
   let addr = Addr_map.resolve_h wa.wh ~pe idx in
-  write_c t ~pe wa ~addr v
+  let one = t.ctxs.(pe).one in
+  one.(0) <- v;
+  write_from t ~pe wa ~addr one 0
 
 (* ------------------------------------------------------------------ *)
 (* Prefetch issue                                                      *)
@@ -1461,16 +1495,13 @@ let issue_line_prefetch ?(skip_cached = false) t ~pe name ~idx =
   issue_prefetch_at ~skip_cached t t.ctxs.(pe) ~addr
     ~tgt:(Addr_map.target_of h ~pe ~addr)
 
-let pf_issue_c ?(skip_cached = false) t ~pe acc ~addr =
+let pf_issue_c ~skip_cached t ~pe acc ~addr =
   issue_prefetch_at ~skip_cached t t.ctxs.(pe) ~addr
     ~tgt:(Addr_map.target_of acc.ah ~pe ~addr)
 
 let line_of t ~pe name ~idx =
   let h = handle_of t name in
   Addr_map.resolve_h h ~pe idx / t.cfg.Config.line_words
-
-let line_of_c t ~pe acc ~idx =
-  Addr_map.resolve_h acc.ah ~pe idx / t.cfg.Config.line_words
 
 (* The staging-order ring: append at the tail, growing by doubling (the
    capacity stays a power of two); pop the oldest entry at the head. *)
@@ -1589,7 +1620,7 @@ let vget_issue ?(skip_cached = false) t ~pe name idxs =
   in
   vget_issue_h ~skip_cached t ~pe h addrs (Array.length addrs)
 
-let vget_issue_c ?(skip_cached = false) t ~pe acc ~addrs ~n =
+let vget_issue_c ~skip_cached t ~pe acc ~addrs ~n =
   vget_issue_h ~skip_cached t ~pe acc.ah addrs n
 
 (* Barrier drain of the buffered-mode private ledgers, in PE-major order —
@@ -1610,7 +1641,7 @@ let drain_buffered t =
             o.wepoch.(a) <- t.epoch_tick;
             (* the write-through patched the writer's cached value; the
                version it carries settles here *)
-            Cache.update_if_present cache ~ver:o.next_ver ~addr:a t.mem.(a);
+            Cache.update_from cache ~ver:o.next_ver ~addr:a t.mem a;
             t.shadow.(a) <- t.mem.(a)
           done;
           ctx.wn <- 0)

@@ -118,6 +118,11 @@ val set : t -> string -> int array -> float -> unit
 (** Read the canonical (owner) copy from memory. *)
 val get : t -> string -> int array -> float
 
+(** The functional memory image, indexed by global word address
+    ({!Addr_map}); the canonical copy of an element sits at
+    [Addr_map.resolve_h h ~pe:0 idx]. Callers must not write it. *)
+val memory : t -> float array
+
 (** {1 Timed operations} *)
 
 (** Execute a read reference on a PE per its classification. *)
@@ -143,43 +148,47 @@ val vget_issue :
 (** {1 Prepared accesses (compiled-plan fast path)}
 
     Everything about a static reference that never changes during a run —
-    its address-map handle, its read protocol (mode x classification x
-    scheduled op x stale verdict), its HSCD version record — is resolved
-    once by [prepare_read]/[prepare_write]. The per-access path is then
-    pure arithmetic plus the protocol itself: no string hashing, no
-    owner/target variant boxing, no per-access table lookups. The timed
-    semantics are identical to {!read}/{!write}, which share the same
-    dispatch internally. *)
+    its address kernel (tagged with the reference's source span), its read
+    protocol (mode x classification x scheduled op x stale verdict), its
+    HSCD version record — is resolved once by [prepare_read]/
+    [prepare_write]. The per-access path is then pure arithmetic plus the
+    protocol itself: no string hashing, no owner/target variant boxing, no
+    per-access table lookups. Values move destination-passing through a
+    caller's [float array] slot, so no float is boxed on the way. The
+    timed semantics are identical to {!read}/{!write}, which share the
+    same dispatch internally. *)
 
 type raccess
 
 val prepare_read : t -> Ccdp_ir.Reference.t -> raccess
 
-(** Global word address of the access from [pe] — same address {!read}
-    resolves internally. Untimed. *)
-val access_addr : t -> raccess -> pe:int -> idx:int array -> int
+(** The reference's address kernel: [Addr_map.resolve_h] on it from [pe]
+    gives the address {!read} resolves internally, and raises
+    {!Addr_map.Out_of_bounds} located at the reference. *)
+val read_handle : raccess -> Addr_map.handle
 
-(** Execute a prepared read at an address computed by {!access_addr} for
-    the same [pe] and [idx]. *)
-val read_c : t -> pe:int -> raccess -> idx:int array -> addr:int -> float
+(** Execute a prepared read at the address of [idx] from [pe] (see
+    {!read_handle}), storing the value read into [dst.(k)]. *)
+val read_into :
+  t -> pe:int -> raccess -> idx:int array -> addr:int -> float array -> int ->
+  unit
 
 type waccess
 
 val prepare_write : t -> Ccdp_ir.Reference.t -> waccess
-val write_addr : t -> waccess -> pe:int -> idx:int array -> int
-val write_c : t -> pe:int -> waccess -> addr:int -> float -> unit
+val write_handle : waccess -> Addr_map.handle
 
-(** Prepared twin of {!issue_line_prefetch}; [addr] from {!access_addr}. *)
-val pf_issue_c : ?skip_cached:bool -> t -> pe:int -> raccess -> addr:int -> unit
+(** Execute a prepared write of [src.(k)] at [addr] (see {!write_handle}). *)
+val write_from : t -> pe:int -> waccess -> addr:int -> float array -> int -> unit
 
-(** Prepared twin of {!line_of}. *)
-val line_of_c : t -> pe:int -> raccess -> idx:int array -> int
+(** Prepared twin of {!issue_line_prefetch}; [addr] from {!read_handle}. *)
+val pf_issue_c : skip_cached:bool -> t -> pe:int -> raccess -> addr:int -> unit
 
 (** Prepared twin of {!vget_issue}: the get covers the [n] word addresses
-    [addrs.(0) .. addrs.(n-1)], each from {!access_addr}, in issue order.
+    [addrs.(0) .. addrs.(n-1)], each from {!read_handle}, in issue order.
     Reads [addrs] only during the call, so the caller may reuse it. *)
 val vget_issue_c :
-  ?skip_cached:bool ->
+  skip_cached:bool ->
   t ->
   pe:int ->
   raccess ->

@@ -14,19 +14,29 @@ type report = {
   max_abs_diff : float;
 }
 
+(* Each array's kernel is resolved once per state; the elements are then
+   walked by an odometer over the subscripts in column-major order (the
+   order [Array_decl.point_of_linear] enumerates), reading both memory
+   images directly, so the walk boxes no floats and builds no index
+   arrays except for reported mismatches. *)
 let compare_states ?(tol = 0.0) ?(max_report = 5) ~expected ~got
     (program : Program.t) =
   let checked = ref 0 in
   let bad = ref 0 in
   let mismatches = ref [] in
   let max_diff = ref 0.0 in
+  let me = Memsys.memory expected and mg = Memsys.memory got in
   List.iter
     (fun (a : Array_decl.t) ->
-      if a.shared then
-        for lin = 0 to Array_decl.elems a - 1 do
-          let idx = Array_decl.point_of_linear a lin in
-          let e = Memsys.get expected a.name idx in
-          let g = Memsys.get got a.name idx in
+      if a.shared then begin
+        let he = Addr_map.handle (Memsys.map expected) a.name
+        and hg = Addr_map.handle (Memsys.map got) a.name in
+        let dims = a.dims in
+        let rank = Array.length dims in
+        let idx = Array.make rank 0 in
+        for _ = 1 to Array_decl.elems a do
+          let e = me.(Addr_map.resolve_h he ~pe:0 idx)
+          and g = mg.(Addr_map.resolve_h hg ~pe:0 idx) in
           incr checked;
           let d = abs_float (e -. g) in
           if d > !max_diff then max_diff := d;
@@ -34,10 +44,27 @@ let compare_states ?(tol = 0.0) ?(max_report = 5) ~expected ~got
             incr bad;
             if List.length !mismatches < max_report then
               mismatches :=
-                { array_name = a.name; index = idx; expected = e; got = g }
+                {
+                  array_name = a.name;
+                  index = Array.copy idx;
+                  expected = e;
+                  got = g;
+                }
                 :: !mismatches
-          end
-        done)
+          end;
+          (* advance the odometer; dimension 0 turns fastest *)
+          let dim = ref 0 in
+          while
+            !dim < rank
+            &&
+            (idx.(!dim) <- idx.(!dim) + 1;
+             idx.(!dim) = dims.(!dim))
+          do
+            idx.(!dim) <- 0;
+            incr dim
+          done
+        done
+      end)
     program.Program.arrays;
   {
     ok = !bad = 0;

@@ -39,12 +39,15 @@ let basic =
         (* line 0 is now most recent; filling line 8 must evict line 4 *)
         check_true "evicts 4" (Cache.fill c ~line:8 (payload 3.0) = Some 4);
         check_true "line 0 kept" (Cache.read c ~addr:0 = Some 1.0));
+    (* the write-through patch is [Cache.update_from]; the case keeps its
+       original name *)
     case "update_if_present patches only resident lines" (fun () ->
         let c = mk () in
-        Cache.update_if_present c ~addr:0 9.0;
+        let v = [| 9.0 |] in
+        Cache.update_from c ~ver:(-1) ~addr:0 v 0;
         check_true "still miss" (Cache.read c ~addr:0 = None);
         ignore (Cache.fill c ~line:0 (payload 1.0));
-        Cache.update_if_present c ~addr:2 9.0;
+        Cache.update_from c ~ver:(-1) ~addr:2 v 0;
         check_true "patched" (Cache.read c ~addr:2 = Some 9.0);
         check_true "neighbours kept" (Cache.read c ~addr:1 = Some 1.0));
     case "invalidate_line removes exactly one line" (fun () ->
@@ -166,14 +169,21 @@ let fill_props =
           (fun (is_fill, line) ->
             if is_fill then begin
               ignore (Cache.fill c ~line (payload (float_of_int line)));
-              Cache.fill_from c' ~vers:[||] ~line ~src:mem ~pos:(line * 4) ();
+              Cache.fill_from c' ~tick:0 ~state:1 ~vers:[||] ~line ~src:mem ~pos:(line * 4);
               true
             end
             else begin
               let addr = (line * 4) + (line mod 4) in
               let r = Cache.read c ~addr in
               let off = Cache.locate c' ~addr in
-              let r' = if off < 0 then None else Some (Cache.data_at c' off) in
+              let r' =
+                if off < 0 then None
+                else begin
+                  let w = [| nan |] in
+                  Cache.copy_word c' off w 0;
+                  Some w.(0)
+                end
+              in
               r = r'
             end)
           ops

@@ -246,40 +246,43 @@ let crossbar_oracle =
         check_int "diameter" 0 (Net.diameter (Net.create Net.Crossbar ~n_pes:1)));
   ]
 
+(* a booking's delay with the depth it reports through [last_depth] *)
+let booked net delay = (delay, Net.last_depth net)
+
 let contention =
   [
     case "an idle link adds no delay" (fun () ->
         let net = Net.create Net.Crossbar ~n_pes:4 in
-        let delay, depth = Net.acquire net ~dst:1 ~now:100 ~hold:8 in
+        let delay, depth = booked net (Net.acquire net ~dst:1 ~now:100 ~hold:8) in
         check_int "delay" 0 delay;
         check_int "depth" 1 depth);
     case "a busy link queues and deepens" (fun () ->
         let net = Net.create Net.Crossbar ~n_pes:4 in
         ignore (Net.acquire net ~dst:1 ~now:100 ~hold:8);
-        let d2, q2 = Net.acquire net ~dst:1 ~now:102 ~hold:8 in
+        let d2, q2 = booked net (Net.acquire net ~dst:1 ~now:102 ~hold:8) in
         check_int "second waits for the first" 6 d2;
         check_int "second is depth 2" 2 q2;
-        let d3, q3 = Net.acquire net ~dst:1 ~now:103 ~hold:8 in
+        let d3, q3 = booked net (Net.acquire net ~dst:1 ~now:103 ~hold:8) in
         check_int "third waits for both" 13 d3;
         check_int "third is depth 3" 3 q3);
     case "distinct links do not contend" (fun () ->
         let net = Net.create Net.Crossbar ~n_pes:4 in
         ignore (Net.acquire net ~dst:1 ~now:100 ~hold:8);
-        let delay, depth = Net.acquire net ~dst:2 ~now:100 ~hold:8 in
+        let delay, depth = booked net (Net.acquire net ~dst:2 ~now:100 ~hold:8) in
         check_int "delay" 0 delay;
         check_int "depth" 1 depth);
     case "a drained link starts a fresh burst" (fun () ->
         let net = Net.create Net.Crossbar ~n_pes:4 in
         ignore (Net.acquire net ~dst:1 ~now:0 ~hold:8);
         ignore (Net.acquire net ~dst:1 ~now:1 ~hold:8);
-        let delay, depth = Net.acquire net ~dst:1 ~now:50 ~hold:8 in
+        let delay, depth = booked net (Net.acquire net ~dst:1 ~now:50 ~hold:8) in
         check_int "delay" 0 delay;
         check_int "depth resets" 1 depth);
     case "reset_links forgets all bookings" (fun () ->
         let net = Net.create Net.Crossbar ~n_pes:4 in
         ignore (Net.acquire net ~dst:1 ~now:0 ~hold:100);
         Net.reset_links net;
-        let delay, depth = Net.acquire net ~dst:1 ~now:0 ~hold:8 in
+        let delay, depth = booked net (Net.acquire net ~dst:1 ~now:0 ~hold:8) in
         check_int "delay" 0 delay;
         check_int "depth" 1 depth);
   ]
@@ -343,17 +346,18 @@ let clusters =
     case "island buses book independently and reset together" (fun () ->
         let net = Net.create ~cluster_pes:4 Net.Crossbar ~n_pes:8 in
         ignore (Net.acquire_cluster_bus net ~cluster:0 ~now:0 ~since:0 ~hold:10);
-        let d0, _ =
+        let d0 =
           Net.acquire_cluster_bus net ~cluster:0 ~now:2 ~since:0 ~hold:10
         in
         check_true "own island pays backlog" (d0 > 0);
         let d1, q1 =
-          Net.acquire_cluster_bus net ~cluster:1 ~now:2 ~since:0 ~hold:10
+          booked net
+            (Net.acquire_cluster_bus net ~cluster:1 ~now:2 ~since:0 ~hold:10)
         in
         check_int "other island idle" 0 d1;
         check_int "other island depth" 1 q1;
         Net.reset_links net;
-        let d0', _ =
+        let d0' =
           Net.acquire_cluster_bus net ~cluster:0 ~now:0 ~since:0 ~hold:10
         in
         check_int "barrier drains the island bus" 0 d0');

@@ -64,6 +64,28 @@ let tests =
         let p = Craft_parse.program src in
         let a = Program.find_array p "A" in
         check_true "block dim0" (Dist.distributed_dim a.Array_decl.dist = Some 0));
+    case "an out-of-bounds subscript is an error located at the reference"
+      (fun () ->
+        (* U(I + 8, J) on a column-block U(8, 8): parallel and sequential
+           runs alike reject it, at line 19 column 21 of the fixture *)
+        let p = Craft_parse.file "oob_subscript.craft" in
+        let cfg = Ccdp_machine.Config.t3d ~n_pes:4 in
+        let c = Ccdp_core.Pipeline.compile cfg p in
+        List.iter
+          (fun (mode, plan) ->
+            match
+              Ccdp_runtime.Interp.run cfg c.Ccdp_core.Pipeline.program ~plan
+                ~mode ()
+            with
+            | _ -> Alcotest.fail "the out-of-bounds read executed"
+            | exception Ccdp_runtime.Addr_map.Out_of_bounds { loc; msg } ->
+                check_true "located" (loc = Loc.src ~line:19 ~col:21);
+                Alcotest.(check string)
+                  "message" "U: index 8 out of bounds 0..7 in dim 0" msg)
+          [
+            (Ccdp_runtime.Memsys.Ccdp, c.Ccdp_core.Pipeline.plan);
+            (Ccdp_runtime.Memsys.Seq, Ccdp_analysis.Annot.empty ());
+          ]);
   ]
 
 let () = Alcotest.run "craft-parse-more" [ ("front-end", tests) ]
