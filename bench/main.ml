@@ -28,6 +28,9 @@
 
 open Ccdp_workloads
 open Ccdp_core
+module Memsys = Ccdp_runtime.Memsys
+module Interp = Ccdp_runtime.Interp
+module Interp_ref = Ccdp_runtime.Interp_ref
 
 type sizes = { n : int; iters : int; pes : int list; abl_pes : int }
 
@@ -39,15 +42,34 @@ let ppf = Format.std_formatter
 let header title =
   Format.fprintf ppf "@.=== %s ===@.@." title
 
-(* Run [f] against a fresh Bench_json document, then write
-   BENCH_<bench>.json stamped with the host wall-clock. *)
-let with_bench_json ~bench ~jobs f =
-  let doc = Bench_json.create ~bench in
-  let t0 = Unix.gettimeofday () in
-  f doc;
-  let wall_clock_s = Unix.gettimeofday () -. t0 in
-  let path = Bench_json.write doc ~jobs ~wall_clock_s in
-  Format.fprintf ppf "[%s: wall %.2fs at -j%d]@." path wall_clock_s jobs
+(* Write one BENCH_<bench>.json per entry: [f doc] computes the entry,
+   adding any evaluation or rival rows to [doc], and returns its tables,
+   which are printed and recorded. Each document is stamped with the host
+   wall-clock of its entry. *)
+let emit ~jobs entries =
+  List.iter
+    (fun (bench, f) ->
+      let doc = Bench_json.create ~bench in
+      let t0 = Unix.gettimeofday () in
+      List.iter
+        (fun tbl ->
+          Bench_json.add_table doc tbl;
+          Experiment.print_tbl ppf tbl)
+        (f doc);
+      let wall_clock_s = Unix.gettimeofday () -. t0 in
+      let path = Bench_json.write doc ~jobs ~wall_clock_s in
+      Format.fprintf ppf "[%s: wall %.2fs at -j%d]@." path wall_clock_s jobs)
+    entries
+
+(* an entry recording the evaluation rows and rendering them as [table] *)
+let with_rows rows table doc =
+  let rows = Lazy.force rows in
+  Bench_json.add_rows doc rows;
+  [ table rows ]
+
+let evaluate sizes jobs ws =
+  let spec = { Experiment.default_spec with Experiment.pes = sizes.pes } in
+  lazy (Experiment.evaluate ~jobs ~spec ws)
 
 let tables sizes jobs =
   header
@@ -55,18 +77,14 @@ let tables sizes jobs =
        "Paper Tables 1 and 2 (n=%d, iters=%d; simulated T3D; every run \
         numerically verified against sequential execution)"
        sizes.n sizes.iters);
-  let ws = Suite.spec_four ~n:sizes.n ~iters:sizes.iters () in
-  let spec = { Experiment.default_spec with Experiment.pes = sizes.pes } in
-  let rows = ref [] in
-  with_bench_json ~bench:"table1" ~jobs (fun doc ->
-      rows := Experiment.evaluate ~jobs ~spec ws;
-      Bench_json.add_rows doc !rows;
-      Bench_json.add_table doc (Experiment.table1 !rows);
-      Experiment.print_table1 ppf !rows);
-  with_bench_json ~bench:"table2" ~jobs (fun doc ->
-      Bench_json.add_rows doc !rows;
-      Bench_json.add_table doc (Experiment.table2 !rows);
-      Experiment.print_table2 ppf !rows);
+  let rows =
+    evaluate sizes jobs (Suite.spec_four ~n:sizes.n ~iters:sizes.iters ())
+  in
+  emit ~jobs
+    [
+      ("table1", with_rows rows Experiment.table1);
+      ("table2", with_rows rows Experiment.table2);
+    ];
   Format.fprintf ppf
     "Paper Table 2 reference bands: MXM 64.5-89.8%%, VPENTA 4.4-23.9%%, \
      TOMCATV 44.8-69.6%%, SWIM 2.5-13.2%%.@."
@@ -81,46 +99,45 @@ let extras_table sizes jobs =
       Extras.triad ~n:sizes.n;
     ]
   in
-  let spec = { Experiment.default_spec with Experiment.pes = sizes.pes } in
-  with_bench_json ~bench:"extras" ~jobs (fun doc ->
-      let rows = Experiment.evaluate ~jobs ~spec ws in
-      Bench_json.add_rows doc rows;
-      Bench_json.add_table doc (Experiment.table2 rows);
-      Experiment.print_table2 ppf rows)
+  emit ~jobs
+    [ ("extras", with_rows (evaluate sizes jobs ws) Experiment.table2) ]
 
 let ablations sizes jobs =
   header "Ablation studies (DESIGN.md experiments A-C)";
   let ws = Suite.spec_four ~n:sizes.n ~iters:sizes.iters () in
-  with_bench_json ~bench:"ablate" ~jobs (fun doc ->
-      let emit tbl =
-        Bench_json.add_table doc tbl;
-        Experiment.print_tbl ppf tbl
-      in
-      emit (Experiment.ablation_target_table ~n_pes:sizes.abl_pes ~jobs ws);
-      emit (Experiment.ablation_technique_table ~n_pes:sizes.abl_pes ~jobs ws);
-      emit (Experiment.ablation_coherence_table ~n_pes:sizes.abl_pes ~jobs ws);
-      emit (Experiment.ablation_prefetch_clean_table ~n_pes:sizes.abl_pes ~jobs ws);
-      emit (Experiment.ablation_vpg_levels_table ~n_pes:sizes.abl_pes ~jobs ws);
-      emit (Experiment.ablation_topology_table ~n_pes:64 ~jobs ws))
+  let n_pes = sizes.abl_pes in
+  emit ~jobs
+    [
+      ( "ablate",
+        fun _ ->
+          [
+            Experiment.ablation_target_table ~n_pes ~jobs ws;
+            Experiment.ablation_technique_table ~n_pes ~jobs ws;
+            Experiment.ablation_coherence_table ~n_pes ~jobs ws;
+            Experiment.ablation_prefetch_clean_table ~n_pes ~jobs ws;
+            Experiment.ablation_vpg_levels_table ~n_pes ~jobs ws;
+            Experiment.ablation_topology_table ~n_pes:64 ~jobs ws;
+          ] );
+    ]
 
 let sweeps sizes jobs =
   header "Parameter sweeps (DESIGN.md experiment D)";
   let tom = Tomcatv.workload ~n:sizes.n ~iters:sizes.iters in
   let mxm = Mxm.workload ~n:sizes.n in
-  with_bench_json ~bench:"sweep" ~jobs (fun doc ->
-      let emit tbl =
-        Bench_json.add_table doc tbl;
-        Experiment.print_tbl ppf tbl
-      in
-      emit (Experiment.sweep_remote_table ~n_pes:sizes.abl_pes ~jobs tom);
-      emit (Experiment.sweep_remote_table ~n_pes:sizes.abl_pes ~jobs mxm);
-      (* the queue only matters on the software-pipelined path *)
-      emit
-        (Experiment.sweep_queue_table ~n_pes:sizes.abl_pes ~jobs
-           (Extras.opaque_sweep ~n:sizes.n));
-      emit
-        (Experiment.sweep_cache_table ~n_pes:sizes.abl_pes ~jobs
-           (Mxm.workload ~n:sizes.n)))
+  let n_pes = sizes.abl_pes in
+  emit ~jobs
+    [
+      ( "sweep",
+        fun _ ->
+          [
+            Experiment.sweep_remote_table ~n_pes ~jobs tom;
+            Experiment.sweep_remote_table ~n_pes ~jobs mxm;
+            (* the queue only matters on the software-pipelined path *)
+            Experiment.sweep_queue_table ~n_pes ~jobs
+              (Extras.opaque_sweep ~n:sizes.n);
+            Experiment.sweep_cache_table ~n_pes ~jobs mxm;
+          ] );
+    ]
 
 (* ---- machine sweep -------------------------------------------------- *)
 
@@ -140,30 +157,28 @@ let machines_bench sizes ~quick ~machine jobs =
         interconnect"
        n iters sizes.abl_pes);
   let ws = Suite.spec_four ~n ~iters () in
-  with_bench_json ~bench:"machines" ~jobs (fun doc ->
-      (* a cxl-* --machine filter belongs to the cluster sweep below, not
-         the flat BASE/CCDP table (whose presets it would re-island) *)
-      let flat_only =
-        match machine with
-        | Some m
-          when Experiment.(
-                 List.mem_assoc (String.lowercase_ascii m) cluster_presets) ->
-            None
-        | m -> m
-      in
-      let tbl =
-        Experiment.machines_table ~n_pes:sizes.abl_pes ?only:flat_only ~jobs
-          ws
-      in
-      Bench_json.add_table doc tbl;
-      Experiment.print_tbl ppf tbl;
-      let ctbl =
-        Experiment.clusters_table ~n_pes:sizes.abl_pes ?only:machine ~jobs ws
-      in
-      if ctbl.Experiment.trows <> [] then begin
-        Bench_json.add_table doc ctbl;
-        Experiment.print_tbl ppf ctbl
-      end)
+  (* a cxl-* --machine filter belongs to the cluster sweep, not the flat
+     BASE/CCDP table (whose presets it would re-island) *)
+  let flat_only =
+    match machine with
+    | Some m
+      when List.mem_assoc (String.lowercase_ascii m)
+             Experiment.cluster_presets ->
+        None
+    | m -> m
+  in
+  emit ~jobs
+    [
+      ( "machines",
+        fun _ ->
+          let ctbl =
+            Experiment.clusters_table ~n_pes:sizes.abl_pes ?only:machine ~jobs
+              ws
+          in
+          Experiment.machines_table ~n_pes:sizes.abl_pes ?only:flat_only ~jobs
+            ws
+          :: (if ctbl.Experiment.trows <> [] then [ ctbl ] else []) );
+    ]
 
 (* ---- hardware-coherence rivals -------------------------------------- *)
 
@@ -182,12 +197,14 @@ let rivals_bench sizes ~quick jobs =
        "Hardware-coherence rivals (n=%d, iters=%d, %d PEs): workload x \
         mode x machine, normalized to BASE" n iters n_pes);
   let ws = Suite.spec_four ~n ~iters () in
-  with_bench_json ~bench:"rivals" ~jobs (fun doc ->
-      let rows = Experiment.rivals_rows ~n_pes ~jobs ws in
-      Bench_json.add_rivals doc rows;
-      let tbl = Experiment.rivals_table rows in
-      Bench_json.add_table doc tbl;
-      Experiment.print_tbl ppf tbl)
+  emit ~jobs
+    [
+      ( "rivals",
+        fun doc ->
+          let rows = Experiment.rivals_rows ~n_pes ~jobs ws in
+          Bench_json.add_rivals doc rows;
+          [ Experiment.rivals_table rows ] );
+    ]
 
 (* ---- staleness-oracle overhead ------------------------------------- *)
 
@@ -209,36 +226,150 @@ let oracle_overhead sizes =
     "on (s)" "overhead" "checks" "violations";
   List.iter
     (fun (w : Workload.t) ->
-      let cfg = Ccdp_machine.Config.t3d ~n_pes:sizes.abl_pes in
-      let compiled = Pipeline.compile cfg w.Workload.program in
-      let run ~oracle =
-        Ccdp_runtime.Interp.run cfg ~oracle compiled.Pipeline.program
-          ~plan:compiled.Pipeline.plan ~mode:Ccdp_runtime.Memsys.Ccdp ()
+      let cfg, prog, plan =
+        Experiment.setup ~n_pes:sizes.abl_pes Memsys.Ccdp w.Workload.program
       in
-      let time ~oracle =
-        let t0 = Sys.time () in
-        let r = run ~oracle in
-        (Sys.time () -. t0, r)
+      let run ~oracle () =
+        Interp.run cfg ~oracle prog ~plan ~mode:Memsys.Ccdp ()
       in
-      ignore (run ~oracle:false) (* warm up *);
-      let t_off, r_off = time ~oracle:false in
-      let t_on, r_on = time ~oracle:true in
-      if r_on.Ccdp_runtime.Interp.cycles <> r_off.Ccdp_runtime.Interp.cycles
-      then
+      let r_off, t_off, _ = Bench_json.time (run ~oracle:false) in
+      let r_on, t_on, _ = Bench_json.time ~warm:false (run ~oracle:true) in
+      if r_on.Interp.cycles <> r_off.Interp.cycles then
         failwith
           (Printf.sprintf "%s: oracle changed simulated time (%d vs %d)"
-             w.Workload.name r_on.Ccdp_runtime.Interp.cycles
-             r_off.Ccdp_runtime.Interp.cycles);
-      let sys = r_on.Ccdp_runtime.Interp.sys in
+             w.Workload.name r_on.Interp.cycles r_off.Interp.cycles);
+      let sys = r_on.Interp.sys in
       Format.fprintf ppf "%-10s %12.3f %12.3f %8.1f%% %12d %10d@."
         w.Workload.name t_off t_on
         (if t_off > 0.0 then 100.0 *. ((t_on /. t_off) -. 1.0) else 0.0)
-        (Ccdp_runtime.Memsys.oracle_checked sys)
-        (Ccdp_runtime.Memsys.oracle_violation_count sys))
+        (Memsys.oracle_checked sys)
+        (Memsys.oracle_violation_count sys))
     ws;
   Format.fprintf ppf "@."
 
 (* ---- engine wall-clock throughput ---------------------------------- *)
+
+(* Record one timed run as a perf row (throughputs per host second). *)
+let add_perf doc ~workload ~mode ~engine ~pes ~jobs ~cycles
+    ~(stats : Ccdp_machine.Stats.t) ~wall ~minor_words =
+  let per t = if wall > 0.0 then float_of_int t /. wall else 0.0 in
+  let accesses = stats.reads + stats.writes in
+  let r =
+    {
+      Bench_json.p_workload = workload;
+      p_mode = Memsys.mode_name mode;
+      p_engine = engine;
+      p_pes = pes;
+      p_jobs = jobs;
+      p_wall_s = wall;
+      p_cycles = cycles;
+      p_cycles_per_s = per cycles;
+      p_accesses = accesses;
+      p_accesses_per_s = per accesses;
+      p_minor_words = minor_words;
+    }
+  in
+  Bench_json.add_perf doc r;
+  r
+
+(* One workload in every mode on the compiled-plan engine, and on the
+   reference engine too in CCDP mode; returns the reference engine's
+   wall time over the plan engine's on CCDP. *)
+let perf_workload doc ~n_pes (w : Workload.t) =
+  let show (r : Bench_json.perf_row) =
+    Format.fprintf ppf "%-8s %-10s %-5s %9.3fs %12d %14.0f %14.0f %14.0f@."
+      r.p_workload r.p_mode r.p_engine r.p_wall_s r.p_cycles r.p_cycles_per_s
+      r.p_accesses_per_s r.p_minor_words
+  in
+  let ratio = ref None in
+  List.iter
+    (fun mode ->
+      (* CLU runs on coherence islands, compiled for them *)
+      let machine =
+        if mode = Memsys.Clustered then Ccdp_machine.Config.cxl_4x16
+        else Ccdp_machine.Config.t3d
+      in
+      let cfg, prog, plan =
+        Experiment.setup ~machine ~n_pes mode w.Workload.program
+      in
+      let add = add_perf doc ~workload:w.name ~mode ~pes:cfg.n_pes ~jobs:1 in
+      let r, wall, minor_words =
+        Bench_json.time (fun () -> Interp.run cfg prog ~plan ~mode ())
+      in
+      show
+        (add ~engine:"plan" ~cycles:r.cycles ~stats:r.stats ~wall ~minor_words);
+      if mode = Memsys.Ccdp then begin
+        let rr, rwall, rmw =
+          Bench_json.time (fun () -> Interp_ref.run cfg prog ~plan ~mode ())
+        in
+        if rr.cycles <> r.cycles then
+          failwith
+            (Printf.sprintf
+               "perf: engines disagree on %s/ccdp (%d vs %d cycles)" w.name
+               r.cycles rr.cycles);
+        show
+          (add ~engine:"ref" ~cycles:rr.cycles ~stats:rr.stats ~wall:rwall
+             ~minor_words:rmw);
+        if wall > 0.0 then ratio := Some (rwall /. wall)
+      end)
+    Memsys.all_modes;
+  !ratio
+
+(* Wide machines, one run each, sharded over -j domains inside the epoch
+   loop (Interp ?pool). Simulated cycles are asserted identical across
+   job counts — that is the deterministic claim this section certifies;
+   the wall-clock column is reported as measured and only speeds up when
+   the host grants real cores. *)
+let shard_scaling doc ~quick =
+  let scale_pes = if quick then [ 256 ] else [ 1024; 2048; 4096 ] in
+  let scale_jobs = if quick then [ 1; 8 ] else [ 1; 4; 8 ] in
+  let scale_n = if quick then 48 else 192 in
+  let w = Mxm.workload ~n:scale_n in
+  Format.fprintf ppf
+    "@.Intra-run shard scaling (MXM n=%d, ccdp mode; cycles asserted \
+     identical across -j)@."
+    scale_n;
+  Format.fprintf ppf "%-8s %6s %5s %10s %12s %9s@." "workload" "pes" "jobs"
+    "wall" "cycles" "speedup";
+  List.iter
+    (fun pes ->
+      let cfg, prog, plan =
+        Experiment.setup ~n_pes:pes Memsys.Ccdp w.Workload.program
+      in
+      let go ?pool () = Interp.run cfg ?pool prog ~plan ~mode:Ccdp () in
+      let baseline = ref None in
+      List.iter
+        (fun j ->
+          (* no warm-up: one timed run per (pes, jobs) cell keeps the wide
+             grid affordable; cycle identity does not need it *)
+          let r, wall, minor_words =
+            Bench_json.time ~warm:false (fun () ->
+                if j > 1 then
+                  Ccdp_exec.Pool.with_pool ~jobs:j (fun pool -> go ~pool ())
+                else go ())
+          in
+          let cycles = r.Interp.cycles in
+          (match !baseline with
+          | None -> baseline := Some (cycles, wall)
+          | Some (c0, _) ->
+              if cycles <> c0 then
+                failwith
+                  (Printf.sprintf
+                     "perf scaling: -j%d changed simulated time at %d PEs \
+                      (%d vs %d cycles)"
+                     j pes cycles c0));
+          let speedup =
+            match !baseline with
+            | Some (_, w0) when wall > 0.0 -> w0 /. wall
+            | _ -> 1.0
+          in
+          ignore
+            (add_perf doc ~workload:w.name ~mode:Ccdp ~engine:"plan" ~pes
+               ~jobs:j ~cycles ~stats:r.stats ~wall ~minor_words);
+          Format.fprintf ppf "%-8s %6d %5d %9.3fs %12d %8.2fx@." w.name pes j
+            wall cycles speedup)
+        scale_jobs)
+    scale_pes
 
 (* Host-time throughput of the compiled-plan engine (Interp) across the
    paper's four workloads and every coherence mode, plus the reference
@@ -257,188 +388,23 @@ let perf sizes ~quick jobs =
         cxl-4x16; engine=plan is the compiled-plan Interp, engine=ref the \
         reference tree-walker)"
        n iters n_pes);
-  let ws = Suite.spec_four ~n ~iters () in
-  let modes = Ccdp_runtime.Memsys.all_modes in
-  let time_run f =
-    ignore (f ()) (* warm up: first run pays lowering/page-in noise *);
-    let m0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let wall = Unix.gettimeofday () -. t0 in
-    (r, wall, Gc.minor_words () -. m0)
+  let perf_bench doc =
+    Format.fprintf ppf "%-8s %-10s %-5s %10s %12s %14s %14s %14s@." "workload"
+      "mode" "eng" "wall" "cycles" "sim-cycles/s" "accesses/s" "minor-words";
+    let ratios =
+      List.map
+        (fun (w : Workload.t) -> (w.name, perf_workload doc ~n_pes w))
+        (Suite.spec_four ~n ~iters ())
+    in
+    Option.iter
+      (Format.fprintf ppf
+         "@.MXM/ccdp compiled-plan engine: %.2fx simulated-cycles/sec of the \
+          reference engine.@.")
+      (List.assoc "mxm" ratios);
+    shard_scaling doc ~quick;
+    []
   in
-  let emit doc ~workload ~mode ~engine ~wall ~cycles ~accesses ~minor_words =
-    let per t = if wall > 0.0 then float_of_int t /. wall else 0.0 in
-    Bench_json.add_perf doc
-      {
-        Bench_json.p_workload = workload;
-        p_mode = Ccdp_runtime.Memsys.mode_name mode;
-        p_engine = engine;
-        p_pes = (if mode = Ccdp_runtime.Memsys.Seq then 1 else n_pes);
-        p_jobs = 1;
-        p_wall_s = wall;
-        p_cycles = cycles;
-        p_cycles_per_s = per cycles;
-        p_accesses = accesses;
-        p_accesses_per_s = per accesses;
-        p_minor_words = minor_words;
-      };
-    Format.fprintf ppf "%-8s %-10s %-5s %9.3fs %12d %14.0f %14.0f %14.0f@."
-      workload
-      (Ccdp_runtime.Memsys.mode_name mode)
-      engine wall cycles (per cycles) (per accesses) minor_words
-  in
-  with_bench_json ~bench:"perf" ~jobs (fun doc ->
-      Format.fprintf ppf "%-8s %-10s %-5s %10s %12s %14s %14s %14s@."
-        "workload" "mode" "eng" "wall" "cycles" "sim-cycles/s" "accesses/s"
-        "minor-words";
-      let mxm_ratio = ref None in
-      List.iter
-        (fun (w : Workload.t) ->
-          let cfg = Ccdp_machine.Config.t3d ~n_pes in
-          let cfg1 = Ccdp_machine.Config.t3d ~n_pes:1 in
-          (* CLU runs on coherence islands, compiled for them *)
-          let cxl = Ccdp_machine.Config.cxl_4x16 ~n_pes in
-          let inlined = Ccdp_ir.Program.inline w.Workload.program in
-          let empty = Ccdp_analysis.Annot.empty () in
-          let compiled = Pipeline.compile cfg w.Workload.program in
-          let clustered =
-            Pipeline.compile cxl ~cluster_coherent:true w.Workload.program
-          in
-          let setup mode =
-            match mode with
-            | Ccdp_runtime.Memsys.Ccdp ->
-                (cfg, compiled.Pipeline.program, compiled.Pipeline.plan)
-            | Ccdp_runtime.Memsys.Clustered ->
-                (cxl, clustered.Pipeline.program, clustered.Pipeline.plan)
-            | Ccdp_runtime.Memsys.Seq -> (cfg1, inlined, empty)
-            | _ -> (cfg, inlined, empty)
-          in
-          List.iter
-            (fun mode ->
-              let mcfg, prog, plan = setup mode in
-              let r, wall, mw =
-                time_run (fun () ->
-                    Ccdp_runtime.Interp.run mcfg prog ~plan ~mode ())
-              in
-              let stats = r.Ccdp_runtime.Interp.stats in
-              let accesses =
-                stats.Ccdp_machine.Stats.reads + stats.Ccdp_machine.Stats.writes
-              in
-              emit doc ~workload:w.Workload.name ~mode ~engine:"plan" ~wall
-                ~cycles:r.Ccdp_runtime.Interp.cycles ~accesses ~minor_words:mw;
-              if mode = Ccdp_runtime.Memsys.Ccdp then begin
-                let rr, rwall, rmw =
-                  time_run (fun () ->
-                      Ccdp_runtime.Interp_ref.run mcfg prog ~plan ~mode ())
-                in
-                if rr.Ccdp_runtime.Interp_ref.cycles <> r.Ccdp_runtime.Interp.cycles
-                then
-                  failwith
-                    (Printf.sprintf
-                       "perf: engines disagree on %s/ccdp (%d vs %d cycles)"
-                       w.Workload.name r.Ccdp_runtime.Interp.cycles
-                       rr.Ccdp_runtime.Interp_ref.cycles);
-                let rstats = rr.Ccdp_runtime.Interp_ref.stats in
-                let raccesses =
-                  rstats.Ccdp_machine.Stats.reads
-                  + rstats.Ccdp_machine.Stats.writes
-                in
-                emit doc ~workload:w.Workload.name ~mode ~engine:"ref"
-                  ~wall:rwall ~cycles:rr.Ccdp_runtime.Interp_ref.cycles
-                  ~accesses:raccesses ~minor_words:rmw;
-                if String.lowercase_ascii w.Workload.name = "mxm" && wall > 0.0
-                then
-                  mxm_ratio := Some (rwall /. wall)
-              end)
-            modes)
-        ws;
-      (match !mxm_ratio with
-      | Some r ->
-          Format.fprintf ppf
-            "@.MXM/ccdp compiled-plan engine: %.2fx simulated-cycles/sec of \
-             the reference engine.@."
-            r
-      | None -> ());
-      (* ---- intra-run shard scaling -------------------------------- *)
-      (* Wide machines, one run each, sharded over -j domains inside the
-         epoch loop (Interp ?pool). Simulated cycles are asserted
-         identical across job counts — that is the deterministic claim
-         this section certifies; the wall-clock column is reported as
-         measured and only speeds up when the host grants real cores. *)
-      let scale_pes = if quick then [ 256 ] else [ 1024; 2048; 4096 ] in
-      let scale_jobs = if quick then [ 1; 8 ] else [ 1; 4; 8 ] in
-      let scale_n = if quick then 48 else 192 in
-      let w = Mxm.workload ~n:scale_n in
-      Format.fprintf ppf
-        "@.Intra-run shard scaling (MXM n=%d, ccdp mode; cycles asserted \
-         identical across -j)@."
-        scale_n;
-      Format.fprintf ppf "%-8s %6s %5s %10s %12s %9s@." "workload" "pes"
-        "jobs" "wall" "cycles" "speedup";
-      List.iter
-        (fun pes ->
-          let cfg = Ccdp_machine.Config.t3d ~n_pes:pes in
-          let compiled = Pipeline.compile cfg w.Workload.program in
-          let baseline = ref None in
-          List.iter
-            (fun j ->
-              let run () =
-                let go ?pool () =
-                  Ccdp_runtime.Interp.run cfg ?pool compiled.Pipeline.program
-                    ~plan:compiled.Pipeline.plan
-                    ~mode:Ccdp_runtime.Memsys.Ccdp ()
-                in
-                if j > 1 then
-                  Ccdp_exec.Pool.with_pool ~jobs:j (fun pool -> go ~pool ())
-                else go ()
-              in
-              (* no warm-up: one timed run per (pes, jobs) cell keeps the
-                 wide grid affordable; cycle identity does not need it *)
-              let m0 = Gc.minor_words () in
-              let t0 = Unix.gettimeofday () in
-              let r = run () in
-              let wall = Unix.gettimeofday () -. t0 in
-              let mw = Gc.minor_words () -. m0 in
-              let cycles = r.Ccdp_runtime.Interp.cycles in
-              let stats = r.Ccdp_runtime.Interp.stats in
-              let accesses =
-                stats.Ccdp_machine.Stats.reads + stats.Ccdp_machine.Stats.writes
-              in
-              (match !baseline with
-              | None -> baseline := Some (cycles, wall)
-              | Some (c0, _) ->
-                  if cycles <> c0 then
-                    failwith
-                      (Printf.sprintf
-                         "perf scaling: -j%d changed simulated time at %d \
-                          PEs (%d vs %d cycles)"
-                         j pes cycles c0));
-              let speedup =
-                match !baseline with
-                | Some (_, w0) when wall > 0.0 -> w0 /. wall
-                | _ -> 1.0
-              in
-              let per t = if wall > 0.0 then float_of_int t /. wall else 0.0 in
-              Bench_json.add_perf doc
-                {
-                  Bench_json.p_workload = w.Workload.name;
-                  p_mode =
-                    Ccdp_runtime.Memsys.mode_name Ccdp_runtime.Memsys.Ccdp;
-                  p_engine = "plan";
-                  p_pes = pes;
-                  p_jobs = j;
-                  p_wall_s = wall;
-                  p_cycles = cycles;
-                  p_cycles_per_s = per cycles;
-                  p_accesses = accesses;
-                  p_accesses_per_s = per accesses;
-                  p_minor_words = mw;
-                };
-              Format.fprintf ppf "%-8s %6d %5d %9.3fs %12d %8.2fx@."
-                w.Workload.name pes j wall cycles speedup)
-            scale_jobs)
-        scale_pes)
+  emit ~jobs [ ("perf", perf_bench) ]
 
 (* ---- bechamel microbenchmarks -------------------------------------- *)
 

@@ -46,6 +46,14 @@ type perf_row = {
   p_minor_words : float;
 }
 
+let time ?(warm = true) f =
+  if warm then ignore (f ());
+  let m0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  let wall = Unix.gettimeofday () -. t0 in
+  (r, wall, Gc.minor_words () -. m0)
+
 type t = {
   bench : string;
   mutable rows : Experiment.row list;  (* in order *)

@@ -60,6 +60,12 @@ type perf_row = {
   p_minor_words : float;
 }
 
+(** [time ?warm f] runs [f] once and returns its result, the host
+    wall-clock seconds and the [Gc.minor_words] delta of that run. With
+    [warm] (default true) an untimed run comes first, so the timed one
+    does not pay lowering and page-in noise. *)
+val time : ?warm:bool -> (unit -> 'a) -> 'a * float * float
+
 (** [create ~bench] starts an empty document for one bench mode. *)
 val create : bench:string -> t
 

@@ -1,15 +1,20 @@
 (** Experiment harness: regenerates the paper's Tables 1 and 2 plus the
-    ablation studies indexed in DESIGN.md.
+    ablation studies and sweeps indexed in DESIGN.md.
 
-    Every parallel run is verified against the sequential execution (a wrong
+    Every table is a list of {e cells} — one simulator run each: a
+    workload, a named machine preset, a PE count, a coherence mode and
+    compile knobs — run by {!run_cells} and projected to string rows. A
+    cell's run is prepared by {!setup}, the one mapping from a mode to a
+    configuration, program and plan.
+
+    Verified runs are checked against the sequential execution (a wrong
     answer under any coherence scheme is an experiment failure, not a data
     point). Speedups are ratios of simulated machine cycles.
 
-    The grid of simulator runs is embarrassingly parallel; every entry
-    point that executes more than one run takes an optional [?jobs]
-    argument and shards the runs over a {!Ccdp_exec.Pool}. Results are
-    deterministic: the same rows, in the same order, for any job count
-    (see DESIGN.md section 8). *)
+    Cells are independent, so {!run_cells} shards them over a
+    {!Ccdp_exec.Pool} of [?jobs] domains. Results are deterministic: the
+    same rows, in the same order, for any job count (see DESIGN.md
+    section 8). *)
 
 type row = {
   workload : string;
@@ -37,12 +42,32 @@ type spec = {
 
 val default_spec : spec
 
-(** Run one workload at one machine width under one mode; compiles with the
-    spec's tuning for CCDP-plan modes. [machine] selects the machine
-    preset (default {!Ccdp_machine.Config.t3d}). [jobs > 1] simulates the
-    run's DOALL epochs in that many domain shards (intra-run parallelism,
-    see {!Ccdp_runtime.Interp.run}); the default runs serially without
-    creating a pool — the simulated result is identical either way. *)
+(** [setup mode program] is what [Interp.run] takes to run [program]
+    under [mode] on [machine ~n_pes] (default {!Ccdp_machine.Config.t3d}):
+    the configuration, the program and the plan. SEQ runs the inlined
+    program unplanned on one PE, CCDP compiles it for the machine, CLU
+    compiles it with [~cluster_coherent:true], and every other mode runs
+    the inlined program unplanned. The compile knobs are
+    {!Pipeline.compile}'s own and only matter to the modes that compile.
+    [report] is handed the compile of [program] for [machine ~n_pes]:
+    the run's own in the compiling modes, one made for it otherwise. *)
+val setup :
+  ?tuning:Ccdp_analysis.Schedule.tuning ->
+  ?innermost_only:bool ->
+  ?group_spatial:bool ->
+  ?prefetch_clean:bool ->
+  ?machine:(n_pes:int -> Ccdp_machine.Config.t) ->
+  ?report:(Pipeline.t -> unit) ->
+  n_pes:int ->
+  Ccdp_runtime.Memsys.mode ->
+  Ccdp_ir.Program.t ->
+  Ccdp_machine.Config.t * Ccdp_ir.Program.t * Ccdp_analysis.Annot.plan
+
+(** Run one workload at one machine width under one mode, prepared by
+    {!setup}. [jobs > 1] simulates the run's DOALL epochs in that many
+    domain shards (intra-run parallelism, see {!Ccdp_runtime.Interp.run});
+    the default runs serially without creating a pool — the simulated
+    result is identical either way. *)
 val run_mode :
   ?tuning:Ccdp_analysis.Schedule.tuning ->
   ?machine:(n_pes:int -> Ccdp_machine.Config.t) ->
@@ -52,9 +77,42 @@ val run_mode :
   Ccdp_workloads.Workload.t ->
   Ccdp_runtime.Interp.result
 
-(** Full BASE/CCDP/sequential matrix over the spec's PE counts, sharded
-    over [jobs] domains (default: {!Ccdp_exec.Pool.resolve_jobs}). The
-    row list is identical for every job count. *)
+(** One simulator run of the experiment grid. *)
+type cell
+
+(** [cell mode w] runs [w] under [mode] on the named [machine] preset
+    (default [("t3d", Config.t3d)]) at [n_pes], prepared by {!setup} with
+    the given compile knobs. A config-field sweep point is a preset such
+    as [fun ~n_pes -> { (Config.t3d ~n_pes) with remote }]. *)
+val cell :
+  ?tuning:Ccdp_analysis.Schedule.tuning ->
+  ?innermost_only:bool ->
+  ?group_spatial:bool ->
+  ?prefetch_clean:bool ->
+  ?machine:string * (n_pes:int -> Ccdp_machine.Config.t) ->
+  n_pes:int ->
+  Ccdp_runtime.Memsys.mode ->
+  Ccdp_workloads.Workload.t ->
+  cell
+
+(** [run_cells cells] runs every cell, sharded over one pool of [jobs]
+    domains (default: {!Ccdp_exec.Pool.resolve_jobs}), and returns
+    [(cycles, stats, ok)] per cell, in cell order, identical for every
+    job count. The sequential reference — SEQ on one PE of the T3D — runs
+    once per distinct workload (by physical identity), before the other
+    cells, and only for workloads that are verified or have a SEQ cell; a
+    SEQ cell's outcome is that reference. With [verify] (default false)
+    [ok] says whether the cell's final memory matches the reference;
+    without it [ok] is [true]. *)
+val run_cells :
+  ?jobs:int ->
+  ?verify:bool ->
+  cell list ->
+  (int * Ccdp_machine.Stats.t * bool) list
+
+(** Full BASE/CCDP/sequential matrix over the spec's PE counts: one SEQ
+    cell per workload and a BASE and a CCDP cell per width, verified when
+    the spec says so. *)
 val evaluate :
   ?jobs:int -> ?spec:spec -> Ccdp_workloads.Workload.t list -> row list
 
@@ -68,16 +126,11 @@ type table = {
 
 val print_tbl : Format.formatter -> table -> unit
 
-(** Paper Tables 1 and 2 as values. *)
+(** Paper Table 1 (speedups over sequential execution time) and Table 2
+    (% improvement of CCDP over BASE) as values. *)
 val table1 : row list -> table
 
 val table2 : row list -> table
-
-(** Paper Table 1: speedups over sequential execution time. *)
-val print_table1 : Format.formatter -> row list -> unit
-
-(** Paper Table 2: % improvement of CCDP over BASE. *)
-val print_table2 : Format.formatter -> row list -> unit
 
 (** Machine-readable export of the evaluation rows (one line per
     workload/width with speedups, improvement and verification flags). *)
@@ -127,13 +180,6 @@ val machines_table :
   Ccdp_workloads.Workload.t list ->
   table
 
-val machines :
-  ?n_pes:int ->
-  ?only:string ->
-  Ccdp_workloads.Workload.t list ->
-  Format.formatter ->
-  unit
-
 (** The CXL-style coherence-cluster presets the cluster sweep reports, in
     table order: 2, 4 and 8 islands on the crossbar fabric. *)
 val cluster_presets :
@@ -152,13 +198,6 @@ val clusters_table :
   ?jobs:int ->
   Ccdp_workloads.Workload.t list ->
   table
-
-val clusters :
-  ?n_pes:int ->
-  ?only:string ->
-  Ccdp_workloads.Workload.t list ->
-  Format.formatter ->
-  unit
 
 (** {1 Hardware-coherence rivals}
 
@@ -180,42 +219,13 @@ type rival_row = {
   rv_stats : Ccdp_machine.Stats.t;
 }
 
-(** The contending modes, table order: BASE, CCDP, MSI, MESI, DIR. *)
-val rival_modes : Ccdp_runtime.Memsys.mode list
-
-(** The machines swept: [t3d-torus] and [t3d-xbar]. *)
-val rival_machines :
-  (string * (n_pes:int -> Ccdp_machine.Config.t)) list
-
-(** Row order: workload-major, then machine, then {!rival_modes} order.
-    Deterministic for any [jobs]. Default [n_pes] = 64 — wide enough for
-    bus arbitration to crush snooping on the crossbar. *)
+(** Row order: workload-major, then machine ([t3d-torus], [t3d-xbar]),
+    then mode (BASE, CCDP, MSI, MESI, DIR). Default [n_pes] = 64 — wide
+    enough for bus arbitration to crush snooping on the crossbar. *)
 val rivals_rows :
   ?n_pes:int -> ?jobs:int -> Ccdp_workloads.Workload.t list -> rival_row list
 
 val rivals_table : rival_row list -> table
-
-val rivals :
-  ?n_pes:int -> Ccdp_workloads.Workload.t list -> Format.formatter -> unit
-
-(** Printing shorthands for the ablation tables (sequential). *)
-val ablation_target :
-  ?n_pes:int -> Ccdp_workloads.Workload.t list -> Format.formatter -> unit
-
-val ablation_technique :
-  ?n_pes:int -> Ccdp_workloads.Workload.t list -> Format.formatter -> unit
-
-val ablation_coherence :
-  ?n_pes:int -> Ccdp_workloads.Workload.t list -> Format.formatter -> unit
-
-val ablation_prefetch_clean :
-  ?n_pes:int -> Ccdp_workloads.Workload.t list -> Format.formatter -> unit
-
-val ablation_vpg_levels :
-  ?n_pes:int -> Ccdp_workloads.Workload.t list -> Format.formatter -> unit
-
-val ablation_topology :
-  ?n_pes:int -> Ccdp_workloads.Workload.t list -> Format.formatter -> unit
 
 (** Sweeps: remote latency, prefetch-queue capacity and cache capacity
     (shape studies), one row per point, sharded over [jobs]. *)
@@ -231,17 +241,3 @@ val sweep_cache_table :
   ?n_pes:int -> ?points:int list -> ?jobs:int -> Ccdp_workloads.Workload.t ->
   table
 
-val sweep_remote :
-  ?n_pes:int -> ?points:int list -> Ccdp_workloads.Workload.t ->
-  Format.formatter -> unit
-
-val sweep_queue :
-  ?n_pes:int -> ?points:int list -> Ccdp_workloads.Workload.t ->
-  Format.formatter -> unit
-
-(** Cache-capacity sweep across the coherence schemes: blanket invalidation
-    wastes retention that version-based HSCD and CCDP keep as capacity
-    grows. *)
-val sweep_cache :
-  ?n_pes:int -> ?points:int list -> Ccdp_workloads.Workload.t ->
-  Format.formatter -> unit

@@ -16,7 +16,7 @@ let () =
   in
   let rows = Experiment.evaluate ~jobs:4 ~spec ws in
   let ppf = Format.std_formatter in
-  Experiment.print_table1 ppf rows;
-  Experiment.print_table2 ppf rows;
+  Experiment.print_tbl ppf (Experiment.table1 rows);
+  Experiment.print_tbl ppf (Experiment.table2 rows);
   Experiment.csv_rows ppf rows;
   Format.pp_print_flush ppf ()

@@ -21,6 +21,7 @@ module Interp = Ccdp_runtime.Interp
 module Interp_ref = Ccdp_runtime.Interp_ref
 module Gen = Ccdp_fuzz.Gen
 module Workload = Ccdp_workloads.Workload
+module Experiment = Ccdp_core.Experiment
 
 let modes =
   Memsys.
@@ -29,32 +30,13 @@ let modes =
       Clustered;
     ]
 
-(* same per-mode setup as Experiment.run_mode: CCDP compiles the full
-   pipeline (Clustered additionally with the cluster-aware discharge),
-   every other mode runs the inlined program unannotated, Seq forces one
-   PE. [machine] picks the interconnect preset (default: the
-   uniform-latency t3d). *)
-let setup ?(machine = Ccdp_machine.Config.t3d) ~n_pes mode
-    (program : Ccdp_ir.Program.t) =
-  let cfg = machine ~n_pes:(if mode = Memsys.Seq then 1 else n_pes) in
-  match mode with
-  | Memsys.Ccdp ->
-      let compiled = Ccdp_core.Pipeline.compile cfg program in
-      (cfg, compiled.Ccdp_core.Pipeline.program, compiled.Ccdp_core.Pipeline.plan)
-  | Memsys.Clustered ->
-      let compiled =
-        Ccdp_core.Pipeline.compile cfg ~cluster_coherent:true program
-      in
-      (cfg, compiled.Ccdp_core.Pipeline.program, compiled.Ccdp_core.Pipeline.plan)
-  | _ -> (cfg, Ccdp_ir.Program.inline program, Ccdp_analysis.Annot.empty ())
-
 (* one shared 4-worker pool for the sharded re-runs below; created once
    around the whole suite (see the bottom of the file) because domain
    spawn/join per case would dominate the test's runtime *)
 let shard_pool : Ccdp_exec.Pool.t option ref = ref None
 
 let assert_equal_runs ?machine name program ~n_pes mode =
-  let cfg, prog, plan = setup ?machine ~n_pes mode program in
+  let cfg, prog, plan = Experiment.setup ?machine ~n_pes mode program in
   let a = Interp.run cfg prog ~plan ~mode () in
   let b = Interp_ref.run cfg prog ~plan ~mode () in
   let against tagp (r : Interp.result) =
@@ -130,7 +112,7 @@ let machine_cases =
                 (w.Workload.name ^ "@" ^ mname)
                 w.Workload.program ~n_pes:4 mode)
             modes))
-    Ccdp_core.Experiment.machine_presets
+    Experiment.machine_presets
 
 (* the coherence-cluster machines: at 8 PEs cxl-2x32 gives real islands
    of 4, cxl-4x16 islands of 2, and cxl-8x8 degrades to the flat
@@ -148,7 +130,7 @@ let cluster_machine_cases =
                 (w.Workload.name ^ "@" ^ mname)
                 w.Workload.program ~n_pes:8 mode)
             modes))
-    Ccdp_core.Experiment.cluster_presets
+    Experiment.cluster_presets
 
 (* pinned intra-epoch synchronization programs: the cycle-costed lock
    (PE-major arbitration; the sharded engine falls back to the serial
@@ -273,7 +255,7 @@ let deep_cases =
           (fun mode -> assert_equal_runs "deep" program ~n_pes:4 mode)
           modes;
         (* and bit for bit, signed zeros included *)
-        let cfg, prog, plan = setup ~n_pes:4 Memsys.Ccdp program in
+        let cfg, prog, plan = Experiment.setup ~n_pes:4 Memsys.Ccdp program in
         let a = Interp.run cfg prog ~plan ~mode:Memsys.Ccdp () in
         let b = Interp_ref.run cfg prog ~plan ~mode:Memsys.Ccdp () in
         for i = 0 to 15 do
@@ -300,7 +282,9 @@ let alloc_cases =
     case "compiled engine allocates < 50% of the reference (MXM/ccdp)"
       (fun () ->
         let w = Ccdp_workloads.Mxm.workload ~n:32 in
-        let cfg, prog, plan = setup ~n_pes:8 Memsys.Ccdp w.Workload.program in
+        let cfg, prog, plan =
+          Experiment.setup ~n_pes:8 Memsys.Ccdp w.Workload.program
+        in
         let plan_mw =
           minor_words_of (fun () ->
               Interp.run cfg prog ~plan ~mode:Memsys.Ccdp ())
@@ -329,7 +313,9 @@ let alloc_cases =
              (String.lowercase_ascii (Memsys.mode_name mode))
              bound)
           (fun () ->
-            let cfg, prog, plan = setup ~n_pes:8 mode w.Workload.program in
+            let cfg, prog, plan =
+              Experiment.setup ~n_pes:8 mode w.Workload.program
+            in
             let run () = Interp.run cfg prog ~plan ~mode () in
             let r = run () in
             let accesses =

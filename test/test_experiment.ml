@@ -39,8 +39,8 @@ let printing =
         let rs = rows () in
         let buf = Buffer.create 256 in
         let ppf = Format.formatter_of_buffer buf in
-        Experiment.print_table1 ppf rs;
-        Experiment.print_table2 ppf rs;
+        Experiment.print_tbl ppf (Experiment.table1 rs);
+        Experiment.print_tbl ppf (Experiment.table2 rs);
         Format.pp_print_flush ppf ();
         check_true "mentions Table 1" (String.length (Buffer.contents buf) > 100));
     case "report table rejects ragged rows" (fun () ->
@@ -58,14 +58,18 @@ let ablations =
         let ws = [ Extras.jacobi ~n:12 ~iters:1 ] in
         let buf = Buffer.create 256 in
         let ppf = Format.formatter_of_buffer buf in
-        Experiment.ablation_target ~n_pes:4 ws ppf;
-        Experiment.ablation_technique ~n_pes:4 ws ppf;
-        Experiment.ablation_coherence ~n_pes:4 ws ppf;
-        Experiment.sweep_remote ~n_pes:4 ~points:[ 40; 90 ] (List.hd ws) ppf;
-        Experiment.sweep_queue ~n_pes:4 ~points:[ 8; 16 ] (List.hd ws) ppf;
-        Experiment.sweep_cache ~n_pes:4 ~points:[ 512; 1024 ] (List.hd ws) ppf;
-        Experiment.ablation_vpg_levels ~n_pes:4 ws ppf;
-        Experiment.ablation_topology ~n_pes:8 ws ppf;
+        let w = List.hd ws in
+        List.iter (Experiment.print_tbl ppf)
+          [
+            Experiment.ablation_target_table ~n_pes:4 ws;
+            Experiment.ablation_technique_table ~n_pes:4 ws;
+            Experiment.ablation_coherence_table ~n_pes:4 ws;
+            Experiment.sweep_remote_table ~n_pes:4 ~points:[ 40; 90 ] w;
+            Experiment.sweep_queue_table ~n_pes:4 ~points:[ 8; 16 ] w;
+            Experiment.sweep_cache_table ~n_pes:4 ~points:[ 512; 1024 ] w;
+            Experiment.ablation_vpg_levels_table ~n_pes:4 ws;
+            Experiment.ablation_topology_table ~n_pes:8 ws;
+          ];
         Format.pp_print_flush ppf ();
         check_true "output produced" (String.length (Buffer.contents buf) > 300));
     case "single-technique tuning still verifies" (fun () ->
@@ -110,8 +114,9 @@ let future_work =
     case "prefetch_clean report runs" (fun () ->
         let buf = Buffer.create 128 in
         let ppf = Format.formatter_of_buffer buf in
-        Experiment.ablation_prefetch_clean ~n_pes:4
-          [ Extras.triad ~n:12 ] ppf;
+        Experiment.print_tbl ppf
+          (Experiment.ablation_prefetch_clean_table ~n_pes:4
+             [ Extras.triad ~n:12 ]);
         Format.pp_print_flush ppf ();
         check_true "output" (String.length (Buffer.contents buf) > 50));
   ]

@@ -22,20 +22,12 @@ module Interp = Ccdp_runtime.Interp
 module Pool = Ccdp_exec.Pool
 module Gen = Ccdp_fuzz.Gen
 module Workload = Ccdp_workloads.Workload
+module Experiment = Ccdp_core.Experiment
 
 (* shared pools, one per job count under test, created once around the
    whole suite (domain spawn per property iteration would dominate) *)
 let pools : (int * Pool.t) list ref = ref []
 let jobs_under_test = [ 1; 2; 7 ]
-
-let setup ?(machine = Ccdp_machine.Config.t3d) ~n_pes mode
-    (program : Ccdp_ir.Program.t) =
-  let cfg = machine ~n_pes:(if mode = Memsys.Seq then 1 else n_pes) in
-  match mode with
-  | Memsys.Ccdp ->
-      let compiled = Ccdp_core.Pipeline.compile cfg program in
-      (cfg, compiled.Ccdp_core.Pipeline.program, compiled.Ccdp_core.Pipeline.plan)
-  | _ -> (cfg, Ccdp_ir.Program.inline program, Ccdp_analysis.Annot.empty ())
 
 (* every deterministic observable of a run, oracle log in order *)
 let obs (r : Interp.result) =
@@ -56,7 +48,7 @@ let same_memory prog ~(serial : Interp.result) ~(sharded : Interp.result) =
 
 (* serial run vs the same run over each pool; true iff all identical *)
 let equivalent ?machine ~n_pes mode program =
-  let cfg, prog, plan = setup ?machine ~n_pes mode program in
+  let cfg, prog, plan = Experiment.setup ?machine ~n_pes mode program in
   let serial = Interp.run cfg ~oracle:true prog ~plan ~mode () in
   List.for_all
     (fun jobs ->
@@ -131,7 +123,7 @@ let dynamic_desc =
 
 let run_with mode ?machine ?pool desc =
   let cfg, prog, plan =
-    setup ?machine ~n_pes:desc.Gen.n_pes mode (Gen.build desc)
+    Experiment.setup ?machine ~n_pes:desc.Gen.n_pes mode (Gen.build desc)
   in
   (prog, Interp.run cfg ~oracle:true ?pool prog ~plan ~mode ())
 
