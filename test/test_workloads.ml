@@ -33,6 +33,24 @@ let structural =
             Alcotest.(check (list string)) (w.name ^ " valid") []
               (Program.validate w.program))
           suite);
+    case "find builds only the named workload, by any name the suite lists"
+      (fun () ->
+        List.iter
+          (fun (w : Workload.t) ->
+            Alcotest.(check string) "name" w.name
+              (Suite.find ~n ~iters:2 w.name).name)
+          suite;
+        (* n=10 suits TOMCATV, though MXM's multiple-of-4 rule rejects it *)
+        Alcotest.(check string) "tomcatv n=10" "tomcatv"
+          (Suite.find ~n:10 "tomcatv").name;
+        List.iter
+          (fun (name, n) ->
+            check_true (name ^ " raises")
+              (try
+                 ignore (Suite.find ~n name);
+                 false
+               with Invalid_argument _ -> true))
+          [ ("nosuch", 16); ("mxm", 10) ]);
     case "the SPEC four are present with their signature arrays" (fun () ->
         let names (w : Workload.t) =
           List.map (fun (a : Array_decl.t) -> a.Array_decl.name) w.program.Program.arrays
