@@ -53,6 +53,17 @@ let restrict_pe_info env (l : Stmt.loop) ~n_pes ~pe =
               | None -> Idle)
           | _ -> Widened env))
 
+let active_pes env (l : Stmt.loop) ~n_pes =
+  match l.kind with
+  | Stmt.Serial | Stmt.Doall (Stmt.Dynamic _) -> None
+  | Stmt.Doall sched -> (
+      match (bound_const l.lo env, bound_const l.hi env) with
+      | Some lo, Some hi ->
+          Some
+            (Ccdp_craft.Loop_sched.active_range sched ~n_pes ~lo ~hi
+               ~step:l.step)
+      | _ -> None)
+
 let restrict_pe env l ~n_pes ~pe =
   match restrict_pe_info env l ~n_pes ~pe with
   | Idle -> None

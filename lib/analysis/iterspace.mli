@@ -39,6 +39,13 @@ type restriction = Idle | Exact of env | Widened of env
 val restrict_pe_info :
   env -> Ccdp_ir.Stmt.loop -> n_pes:int -> pe:int -> restriction
 
+(** [Some (first, last)] when {!restrict_pe_info} is [Exact] or [Idle]
+    per PE: every PE outside [first..last] is [Idle]. [None] when it
+    answers the same for every PE — the unrestricted environment, [Exact]
+    for a serial loop, [Widened] for a dynamic schedule or bounds that do
+    not resolve to constants. *)
+val active_pes : env -> Ccdp_ir.Stmt.loop -> n_pes:int -> (int * int) option
+
 (** Per-PE environment for a static DOALL: the parallel variable is
     restricted to the PE's schedule triplet. [None] when the PE receives no
     iterations; falls back to the unrestricted environment for dynamic

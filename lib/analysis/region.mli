@@ -49,9 +49,21 @@ val aligned : t -> reader:Ref_info.t -> writer:Ref_info.t -> bool
     {e some single} PE of the reader's own island — that sibling's writes
     invalidate the reader's copy through the island snoop, so no prefetch
     or bypass obligation is needed. Subsumes {!aligned} (the reader itself
-    is a candidate sibling); [cluster_pes <= 1] is exactly {!aligned}. *)
+    is a candidate sibling); [cluster_pes <= 1] is exactly {!aligned}.
+    Memoized per (width, reader, writer). *)
 val aligned_cluster :
   t -> cluster_pes:int -> reader:Ref_info.t -> writer:Ref_info.t -> bool
+
+(** [(first, last)]: the PEs this reference may touch anything on; every
+    other PE's {!section_pe} and {!section_pe_must} are [Empty]. The
+    per-PE queries below visit only these PEs, so an idle PE costs
+    nothing. *)
+val active : t -> Ref_info.t -> int * int
+
+(** Cross-PE exclusion witness: may the reader touch, on some PE [p], an
+    element the writer may write on another PE [q <> p]? (May-sets on
+    both sides.) Memoized per reference pair. *)
+val cross_pe : t -> reader:Ref_info.t -> writer:Ref_info.t -> bool
 
 (** Is every element this reference touches owned (local) to the touching
     PE? (VPENTA's access pattern; interesting diagnostically.) *)

@@ -56,40 +56,6 @@ let analyze ?(cluster_pes = 1) region infos =
             d.Array_decl.name
           :: !diags)
     infos;
-  let aligned_memo = Hashtbl.create 64 in
-  let aligned ~reader ~writer =
-    let key = (reader.Ref_info.ref_.Reference.id, writer.Ref_info.ref_.Reference.id) in
-    match Hashtbl.find_opt aligned_memo key with
-    | Some v -> v
-    | None ->
-        let v = Region.aligned_cluster region ~cluster_pes ~reader ~writer in
-        Hashtbl.replace aligned_memo key v;
-        v
-  in
-  let cross_pe_memo = Hashtbl.create 64 in
-  let cross_pe ~(reader : Ref_info.t) ~(writer : Ref_info.t) =
-    let key =
-      (reader.Ref_info.ref_.Reference.id, writer.Ref_info.ref_.Reference.id)
-    in
-    match Hashtbl.find_opt cross_pe_memo key with
-    | Some v -> v
-    | None ->
-        let np = Region.n_pes region in
-        let v = ref false in
-        for p = 0 to np - 1 do
-          if not !v then
-            let r_pe = Region.section_pe region reader ~pe:p in
-            if not (Section.is_empty r_pe) then
-              for q = 0 to np - 1 do
-                if
-                  (not !v) && q <> p
-                  && Section.overlaps r_pe (Region.section_pe region writer ~pe:q)
-                then v := true
-              done
-        done;
-        Hashtbl.replace cross_pe_memo key !v;
-        !v
-  in
   (* Owner-computes alignment assumes each PE is the element's only
      writer — true in the race-free epoch model, broken by locked writes:
      under a lock, every holder may write the same element, and the
@@ -97,8 +63,9 @@ let analyze ?(cluster_pes = 1) region infos =
      locked write therefore discharges by alignment only when no other PE
      can write an element the reader touches. *)
   let aligned_discharges ~(reader : Ref_info.t) ~(writer : Ref_info.t) =
-    aligned ~reader ~writer
-    && (writer.Ref_info.lock = None || not (cross_pe ~reader ~writer))
+    Region.aligned_cluster region ~cluster_pes ~reader ~writer
+    && (writer.Ref_info.lock = None
+       || not (Region.cross_pe region ~reader ~writer))
   in
   (* Does a later aligned covering write mask [w] before [r] reads? Only in
      straight-line epoch sequences — loop back-edges re-expose the older
@@ -145,7 +112,7 @@ let analyze ?(cluster_pes = 1) region infos =
                   && w.Ref_info.epoch = r.Ref_info.epoch
                   && same_lock r w
                   && Section.overlaps r_section (Region.section_all region w)
-                  && cross_pe ~reader:r ~writer:w)
+                  && Region.cross_pe region ~reader:r ~writer:w)
                 writes
           in
           let witness =

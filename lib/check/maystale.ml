@@ -35,59 +35,24 @@ let derive ?(cluster_pes = 1) region (epochs : Epoch.t) infos =
       if tracked i.ref_.Reference.array_name then
         push (if i.write then writes_of else reads_of) i.Ref_info.epoch i)
     infos;
-  let aligned_memo = Hashtbl.create 64 in
-  let aligned ~reader ~writer =
-    let key =
-      (reader.Ref_info.ref_.Reference.id, writer.Ref_info.ref_.Reference.id)
-    in
-    match Hashtbl.find_opt aligned_memo key with
-    | Some v -> v
-    | None ->
-        let v = Region.aligned_cluster region ~cluster_pes ~reader ~writer in
-        Hashtbl.replace aligned_memo key v;
-        v
-  in
   let witnesses = Hashtbl.create 32 in
   let pending : wentry list ref = ref [] in
-  (* Mini-epoch (acquire-frontier) witnesses, derived independently of
-     Stale.analyze: a read inside critical(l) may observe, at acquire,
-     data written under the same lock by another PE earlier in the same
-     epoch. Alignment does not discharge this — the discharge is cross-PE
-     exclusion (no element the reader touches on PE p is written by any
-     other PE through the witness candidate). *)
-  let cross_pe_memo = Hashtbl.create 64 in
-  let cross_pe ~(reader : Ref_info.t) ~(writer : Ref_info.t) =
-    let key =
-      (reader.Ref_info.ref_.Reference.id, writer.Ref_info.ref_.Reference.id)
-    in
-    match Hashtbl.find_opt cross_pe_memo key with
-    | Some v -> v
-    | None ->
-        let np = Region.n_pes region in
-        let v = ref false in
-        for p = 0 to np - 1 do
-          if not !v then
-            let r_pe = Region.section_pe region reader ~pe:p in
-            if not (Section.is_empty r_pe) then
-              for q = 0 to np - 1 do
-                if
-                  (not !v) && q <> p
-                  && Section.overlaps r_pe (Region.section_pe region writer ~pe:q)
-                then v := true
-              done
-        done;
-        Hashtbl.replace cross_pe_memo key !v;
-        !v
-  in
   (* Owner-computes alignment assumes each PE is the element's only
      writer; under a lock every holder may write the same element, and the
      lock-order-last writer owns the final value. A locked write
      discharges by alignment only when no other PE can write an element
      the reader touches. *)
   let aligned_discharges ~(reader : Ref_info.t) ~(writer : Ref_info.t) =
-    aligned ~reader ~writer
-    && (writer.Ref_info.lock = None || not (cross_pe ~reader ~writer))
+    Region.aligned_cluster region ~cluster_pes ~reader ~writer
+    && (writer.Ref_info.lock = None
+       || not (Region.cross_pe region ~reader ~writer))
   in
+  (* Mini-epoch (acquire-frontier) witnesses, derived independently of
+     Stale.analyze: a read inside critical(l) may observe, at acquire,
+     data written under the same lock by another PE earlier in the same
+     epoch. Alignment does not discharge this — the discharge is cross-PE
+     exclusion (no element the reader touches on PE p is written by any
+     other PE through the witness candidate). *)
   let acquire_witnesses eid (r : Ref_info.t) =
     match r.Ref_info.lock with
     | None -> []
@@ -104,7 +69,7 @@ let derive ?(cluster_pes = 1) region (epochs : Epoch.t) infos =
                    && String.equal w.ref_.Reference.array_name
                         r.ref_.Reference.array_name
                    && Section.overlaps r_section (Region.section_all region w)
-                   && cross_pe ~reader:r ~writer:w ->
+                   && Region.cross_pe region ~reader:r ~writer:w ->
                 Some w.ref_.Reference.id
             | _ -> None)
           ws

@@ -42,6 +42,24 @@ let triplet_of_pe sched ~n_pes ~pe ~lo ~hi ~step =
           Some (first, hi, step * n_pes)
     | Stmt.Dynamic _ -> None
 
+let active_range sched ~n_pes ~lo ~hi ~step =
+  let n = trip_count ~lo ~hi ~step in
+  match sched with
+  | Stmt.Dynamic _ -> (0, n_pes - 1)
+  | _ when n = 0 -> (0, -1)
+  | Stmt.Static_block ->
+      let chunk = (n + n_pes - 1) / n_pes in
+      (0, (n - 1) / chunk)
+  | Stmt.Static_cyclic -> (0, min n n_pes - 1)
+  | Stmt.Static_aligned extent ->
+      (* the PEs owning the smallest and the largest iteration value that
+         falls inside the distributed dimension *)
+      let chunk = (extent + n_pes - 1) / n_pes in
+      let top = min hi (extent - 1) in
+      let first = if lo >= 0 then lo else lo + ((step - 1 - lo) / step * step) in
+      if first > top then (0, -1)
+      else (first / chunk, (first + ((top - first) / step * step)) / chunk)
+
 let dynamic_chunks ~chunk ~lo ~hi ~step =
   if chunk <= 0 then invalid_arg "Loop_sched.dynamic_chunks: chunk <= 0";
   let n = trip_count ~lo ~hi ~step in

@@ -16,6 +16,16 @@ val triplet_of_pe :
   Ccdp_ir.Stmt.sched -> n_pes:int -> pe:int -> lo:int -> hi:int -> step:int ->
   triplet option
 
+(** [(first, last)]: the PEs that receive iterations under a static
+    schedule lie in [first..last], and [first] and [last] themselves do —
+    the tightest such interval; empty ([first > last]) when no PE does.
+    Block and cyclic schedules, and aligned ones whose step does not
+    exceed the PE's block of the dimension, leave no idle PE inside it; an
+    aligned loop striding over whole blocks can. A dynamic schedule may
+    hand a chunk to any PE: the whole machine. *)
+val active_range :
+  Ccdp_ir.Stmt.sched -> n_pes:int -> lo:int -> hi:int -> step:int -> int * int
+
 (** Is the assignment known at compile time? *)
 val is_static : Ccdp_ir.Stmt.sched -> bool
 
