@@ -136,7 +136,7 @@ let collect (ep : Epoch.t) =
     List.iter
       (fun node ->
         match node with
-        | Epoch.E (id, Epoch.Par l) ->
+        | Epoch.E (id, Epoch.Par (l, _)) ->
             walk_stmts
               {
                 c_epoch = id;

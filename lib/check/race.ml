@@ -342,7 +342,7 @@ let check ~params (epochs : Epoch.t) =
     List.iter
       (fun node ->
         match node with
-        | Epoch.E (eid, Epoch.Par l) ->
+        | Epoch.E (eid, Epoch.Par (l, _)) ->
             diags := List.rev_append (judge_doall ~params ~outer ~eid l) !diags
         | Epoch.E (_, Epoch.Ser _) -> ()
         | Epoch.Loop (l, body) -> walk (outer @ [ l ]) body

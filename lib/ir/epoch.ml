@@ -1,4 +1,4 @@
-type epoch = Par of Stmt.loop | Ser of Stmt.t list
+type epoch = Par of Stmt.loop * Stmt.sched | Ser of Stmt.t list
 
 type node =
   | E of int * epoch
@@ -30,8 +30,8 @@ let partition stmts =
       List.fold_left
         (fun (buf, acc) s ->
           match s with
-          | Stmt.For ({ kind = Stmt.Doall _; _ } as l) ->
-              ([], E (fresh (), Par l) :: flush buf acc)
+          | Stmt.For ({ kind = Stmt.Doall sched; _ } as l) ->
+              ([], E (fresh (), Par (l, sched)) :: flush buf acc)
           | Stmt.For l when contains_doall l.body ->
               ([], Loop (l, walk l.body) :: flush buf acc)
           | Stmt.If (c, t, e) when contains_doall t || contains_doall e ->
@@ -62,10 +62,10 @@ let all t =
   in
   List.rev (collect [] t.nodes)
 
-let stmts_of = function Par l -> [ Stmt.For l ] | Ser ss -> ss
+let stmts_of = function Par (l, _) -> [ Stmt.For l ] | Ser ss -> ss
 
 let rec pp_node ppf = function
-  | E (id, Par l) ->
+  | E (id, Par (l, _)) ->
       Format.fprintf ppf "epoch %d: parallel doall %s (loop %d)" id l.Stmt.var
         l.Stmt.loop_id
   | E (id, Ser ss) -> Format.fprintf ppf "epoch %d: serial (%d stmts)" id (List.length ss)

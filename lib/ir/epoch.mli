@@ -12,7 +12,9 @@
     and the dataflow treats the loop back-edge as a flow edge. *)
 
 type epoch =
-  | Par of Stmt.loop  (** a top-level DOALL loop *)
+  | Par of Stmt.loop * Stmt.sched
+      (** a top-level DOALL loop and its schedule (the loop's own [Doall]
+          kind, unwrapped) *)
   | Ser of Stmt.t list  (** a maximal serial section *)
 
 type node =

@@ -5,9 +5,14 @@ let create cfg =
   | [] -> ()
   | problems ->
       invalid_arg ("Machine.create: bad config: " ^ String.concat "; " problems));
-  { cfg; pes = Array.init cfg.Config.n_pes (Pe.create cfg) }
+  { cfg; pes = Array.init cfg.Config.n_pes Pe.create }
 
-let pe t i = t.pes.(i)
+let pe t i =
+  let p = t.pes.(i) in
+  Pe.activate t.cfg p;
+  p
+
+let clock t i = t.pes.(i).Pe.clock
 let n_pes t = Array.length t.pes
 let time t = Array.fold_left (fun acc (p : Pe.t) -> max acc p.clock) 0 t.pes
 
@@ -16,8 +21,10 @@ let barrier t =
   Array.iter
     (fun (p : Pe.t) ->
       p.Pe.clock <- target;
-      let unused = Prefetch_queue.clear p.Pe.queue in
-      p.Pe.stats.Stats.pf_unused <- p.Pe.stats.Stats.pf_unused + unused;
+      if Pe.active p then begin
+        let unused = Prefetch_queue.clear p.Pe.queue in
+        p.Pe.stats.Stats.pf_unused <- p.Pe.stats.Stats.pf_unused + unused
+      end;
       p.Pe.stats.Stats.barriers <- p.Pe.stats.Stats.barriers + 1)
     t.pes
 
